@@ -19,8 +19,9 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from .compositions import BiComposition, Composition, NULL
 from .counting import (
@@ -56,17 +57,15 @@ from .seaweed_words import (
 class CommandConfig:
     """Validated per-invocation settings shared by the subcommands."""
 
-    subcommand: str
     kind: Optional[str] = None
     epsilon: Optional[int] = None
     t: Optional[int] = None
     n_max: Optional[int] = None
     method: Optional[str] = None
-    format: Optional[str] = None
-    out: Optional[str] = None
-    budget_override: bool = False
 
     def validate(self) -> None:
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"--n-max must be >= 1, got {self.n_max}")
         if self.kind is not None and self.epsilon is not None:
             implied = {"parabolic-even": 0, "parabolic-odd": 1}.get(self.kind)
             if implied is None:
@@ -81,21 +80,28 @@ class CommandConfig:
             raise ValueError("--method deficiency needs --t")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Print to stdout, or write atomically (write-then-rename) to a file."""
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """stdout, or a temp file renamed onto ``out`` once the block succeeds."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seaweeds-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """Print to stdout, or write atomically (write-then-rename) to a file."""
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _parse_args_pair(args) -> tuple[Optional[BiComposition], Optional[Composition]]:
@@ -160,47 +166,37 @@ def _cmd_meander(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
-    config = CommandConfig(
-        subcommand="generate", kind=args.kind, epsilon=args.epsilon,
-        t=args.t, n_max=args.n_max, out=args.out,
-    )
-    config.validate()
-    records = []
+def _generate_records(args) -> Iterator[dict]:
     if args.kind == "seaweed":
         if args.t is None:
             for word, b in generate_frobenius(args.n_max):
-                records.append(
-                    {"word": str(word), "plus": str(b.plus), "minus": str(b.minus),
-                     "n": b.total, "p": b.num_parts}
-                )
+                yield {"word": str(word), "plus": str(b.plus), "minus": str(b.minus),
+                       "n": b.total, "p": b.num_parts}
         else:
             for n, p, b in generate_deficiency(args.t, args.n_max):
-                records.append(
-                    {"plus": str(b.plus), "minus": str(b.minus), "n": n, "p": p}
-                )
+                yield {"plus": str(b.plus), "minus": str(b.minus), "n": n, "p": p}
+        return
+    eps = 0 if args.kind == "parabolic-even" else 1
+    if args.t is None:
+        for word, c in generate_frobenius_p(eps, args.n_max):
+            yield {"epsilon": eps, "word": str(word), "parts": str(c),
+                   "n": c.total, "p": c.num_parts}
     else:
-        eps = 0 if args.kind == "parabolic-even" else 1
-        if args.t is None:
-            for word, c in generate_frobenius_p(eps, args.n_max):
-                records.append(
-                    {"epsilon": eps, "word": str(word), "parts": str(c),
-                     "n": c.total, "p": c.num_parts}
-                )
-        else:
-            for n, p, c in generate_deficiency_p(eps, args.t, args.n_max):
-                records.append({"epsilon": eps, "parts": str(c), "n": n, "p": p})
-    _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+        for n, p, c in generate_deficiency_p(eps, args.t, args.n_max):
+            yield {"epsilon": eps, "parts": str(c), "n": n, "p": p}
+
+
+def _cmd_generate(args) -> int:
+    CommandConfig(kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max).validate()
+    with _output(args.out) as handle:
+        handle.writelines(json.dumps(r) + "\n" for r in _generate_records(args))
     return 0
 
 
 def _cmd_table(args) -> int:
-    config = CommandConfig(
-        subcommand="table", kind=args.kind, epsilon=args.epsilon, t=args.t,
-        n_max=args.n_max, method=args.method, out=args.out,
-        budget_override=args.budget_override,
-    )
-    config.validate()
+    CommandConfig(
+        kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max, method=args.method,
+    ).validate()
     if args.method == "brute":
         table = brute_table(args.kind, args.n_max, budget_override=args.budget_override)
     elif args.method == "generated":
@@ -221,11 +217,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = CommandConfig(
-        subcommand="fit", kind=args.kind, epsilon=args.epsilon, t=args.t,
-        n_max=args.n_max, out=args.out,
-    )
-    config.validate()
+    CommandConfig(kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max).validate()
     eps = {"parabolic-even": 0, "parabolic-odd": 1}.get(args.kind)
     seq = deficiency_sequence(args.kind, args.t, range(1, args.n_max + 1))
     try:
@@ -250,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seaweeds",
         description="Meander index, Frobenius generation and counting for "
         "seaweed/parabolic subalgebras of sl_n.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized helpers (current subcommands are deterministic)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

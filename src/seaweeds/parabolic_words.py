@@ -31,7 +31,8 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .compositions import Composition
-from .seaweed_words import CollisionError, WSequence
+# CollisionError is raised by the shared search; it stays importable from here.
+from .seaweed_words import CollisionError, WSequence, _search  # noqa: F401
 
 
 class FirstLastEqual(ValueError):
@@ -228,38 +229,31 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
                 yield letter_p("T", tilde, m), _apply_raw_p("T", tilde, m, a), inc
 
 
+def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
+    """Raw search nodes of the Frobenius compositions of parity ``epsilon``
+    with sum <= n_max (and deficiency <= t when given).
+
+    States are one-side tuples ``(a,)``; the odd seed (1) is not emitted.
+    """
+    if epsilon not in (0, 1):
+        raise ValueError(f"epsilon must be 0 or 1, got {epsilon!r}")
+    return _search((_SEEDS_RAW[epsilon],), _child_moves_p, n_max, 2 - epsilon, t,
+                   unit=2, emit_start=epsilon == 0)
+
+
 def generate_frobenius_p(
     epsilon: int, n_max: int
 ) -> Iterator[tuple[ParabolicWord, Composition]]:
     """Every Frobenius composition of parity ``epsilon`` with sum <= n_max.
 
-    Depth-first closure of the parity seed; each composition comes with
-    its unique word.  The odd seed (1) itself is not emitted -- the odd
-    world starts at sum 3.  Reaching any composition twice raises
+    Depth-first closure of the parity seed in pre-order, children in
+    :func:`_child_moves_p` order; each composition comes with its unique
+    word.  The odd seed (1) itself is not emitted -- the odd world starts
+    at sum 3.  Reaching any composition twice raises
     :class:`CollisionError`.
     """
-    if epsilon not in (0, 1):
-        raise ValueError(f"epsilon must be 0 or 1, got {epsilon!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    start = _SEEDS_RAW[epsilon]
-    seen = {start}
-    path: list[ParabolicLetter] = []
-
-    def visit(a, total) -> Iterator[tuple[ParabolicWord, Composition]]:
-        if not (epsilon == 1 and a == start):
-            yield ParabolicWord(tuple(reversed(path))), Composition(a)
-        for l, child, inc in _child_moves_p(a, n_max - total):
-            if child in seen:
-                raise CollisionError(
-                    f"composition {child} reached twice; second route ends with {l}"
-                )
-            seen.add(child)
-            path.append(l)
-            yield from visit(child, total + inc)
-            path.pop()
-
-    yield from visit(start, 2 - epsilon)
+    for (a,), _, _, letters in composition_nodes(epsilon, n_max):
+        yield ParabolicWord(letters), Composition(a)
 
 
 def generate_deficiency_p(
@@ -272,25 +266,5 @@ def generate_deficiency_p(
     Pruned on the running deficiency tau(w) + sum(increment/2 - 1), which
     equals k + 1 - p of the current composition and never decreases.
     """
-    if epsilon not in (0, 1):
-        raise ValueError(f"epsilon must be 0 or 1, got {epsilon!r}")
-    if t < 0:
-        raise ValueError(f"deficiency bound must be >= 0, got {t}")
-    start = _SEEDS_RAW[epsilon]
-    seen = {start}
-
-    def visit(a, total, deficit) -> Iterator[tuple[int, int, Composition]]:
-        if not (epsilon == 1 and a == start):
-            yield total, len(a), Composition(a)
-        for l, child, inc in _child_moves_p(a, n_max - total):
-            child_deficit = deficit + (inc // 2 - 1) + (1 if l.family == "T" else 0)
-            if child_deficit > t:
-                continue
-            if child in seen:
-                raise CollisionError(
-                    f"composition {child} reached twice; second route ends with {l}"
-                )
-            seen.add(child)
-            yield from visit(child, total + inc, child_deficit)
-
-    yield from visit(start, 2 - epsilon, 0)
+    for (a,), n, _, _ in composition_nodes(epsilon, n_max, t):
+        yield n, len(a), Composition(a)

@@ -398,36 +398,86 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, tu
             )
 
 
+def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
+            unit: int = 1, emit_start: bool = True) -> Iterator[tuple]:
+    """Pre-order depth-first closure of a raw state under operator letters.
+
+    A state is a tuple of part tuples, one per side: ``(plus, minus)`` for
+    pairs, ``(a,)`` for a single composition.  ``moves(*state, budget)``
+    yields ``(letter, *child_sides, increment)`` for every letter whose sum
+    increment fits ``budget``, in a fixed order; children are visited in
+    that order, each subtree before the next sibling.  ``total`` is the
+    sum of ``start``, and nodes with a sum above ``n_max`` are never
+    emitted.  ``emit_start`` decides whether ``start`` itself is emitted.
+
+    With a deficiency bound ``t`` the walk is pruned on the running
+    deficiency, whose step per letter is ``increment // unit - 1``, plus 1
+    for a T letter.  The deficiency never decreases, so a node at
+    deficiency d can only take increments up to ``unit * (t - d + 1)``,
+    and the budget handed to ``moves`` is capped there.
+
+    Yields nodes ``(state, total, deficiency, letters)``, where ``letters``
+    is the word reaching ``state`` from ``start``, leftmost (last-applied)
+    letter first.  Every state is checked against all states reached so
+    far; a repeat raises :class:`CollisionError`.  The stack is explicit,
+    so the depth of the walk is not limited by the interpreter.
+    """
+    if t is not None and t < 0:
+        raise ValueError(f"deficiency bound must be >= 0, got {t}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if total > n_max:
+        return
+    node = (start, total, 0, ())
+    if emit_start:
+        yield node
+    seen = {start}
+    stack: list[tuple] = []
+    while True:
+        state, total, deficit, letters = node
+        budget = n_max - total
+        if t is not None:
+            budget = min(budget, unit * (t - deficit + 1))
+        children = []
+        for move in moves(*state, budget):
+            l, inc = move[0], move[-1]
+            if t is not None:
+                child_deficit = deficit + inc // unit - 1 + (l.family == "T")
+                if child_deficit > t:
+                    continue
+            else:
+                child_deficit = 0
+            key = move[1:-1]
+            if key in seen:
+                raise CollisionError(
+                    f"{'|'.join(map(str, key))} reached twice; "
+                    f"second route ends with letter {l}"
+                )
+            seen.add(key)
+            children.append((key, total + inc, child_deficit, (l,) + letters))
+        children.reverse()
+        stack += children
+        if not stack:
+            return
+        node = stack.pop()
+        yield node
+
+
+def pair_nodes(n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
+    """Raw search nodes of the Frobenius pairs with sum <= n_max (and
+    deficiency <= t when given), as :func:`_search` yields them."""
+    return _search(_SEED_RAW, _child_moves, n_max, 1, t)
+
+
 def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]]:
     """Every Frobenius pair with sum <= n_max, each with its unique word.
 
     Depth-first closure of the seed under all letters whose sum increment
-    fits the budget.  Emission order is deterministic but otherwise
-    unspecified; reaching any pair twice raises :class:`CollisionError`.
+    fits the budget, in pre-order with children in :func:`_child_moves`
+    order; reaching any pair twice raises :class:`CollisionError`.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seen = {_SEED_RAW}
-    path: list[SeaweedLetter] = []  # letters in applied order
-
-    def visit(plus, minus, total) -> Iterator[tuple[SeaweedWord, BiComposition]]:
-        yield (
-            SeaweedWord(tuple(reversed(path))),
-            BiComposition(Composition(plus), Composition(minus)),
-        )
-        for l, child_plus, child_minus, inc in _child_moves(plus, minus, n_max - total):
-            key = (child_plus, child_minus)
-            if key in seen:
-                raise CollisionError(
-                    f"pair {child_plus}|{child_minus} reached twice; "
-                    f"second route ends with letter {l}"
-                )
-            seen.add(key)
-            path.append(l)
-            yield from visit(child_plus, child_minus, total + inc)
-            path.pop()
-
-    yield from visit((1,), (1,), 1)
+    for (plus, minus), _, _, letters in pair_nodes(n_max):
+        yield SeaweedWord(letters), BiComposition(Composition(plus), Composition(minus))
 
 
 def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiComposition]]:
@@ -439,29 +489,5 @@ def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiCompos
     emitted, annotated as (n, p, pair), and the stream is exactly the
     deficiency <= t slice of the full generator's output.
     """
-    if t < 0:
-        raise ValueError(f"deficiency bound must be >= 0, got {t}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seen = {_SEED_RAW}
-
-    def visit(plus, minus, total, deficit) -> Iterator[tuple[int, int, BiComposition]]:
-        yield (
-            total,
-            len(plus) + len(minus),
-            BiComposition(Composition(plus), Composition(minus)),
-        )
-        for l, child_plus, child_minus, inc in _child_moves(plus, minus, n_max - total):
-            child_deficit = deficit + (inc - 1) + (1 if l.family == "T" else 0)
-            if child_deficit > t:
-                continue
-            key = (child_plus, child_minus)
-            if key in seen:
-                raise CollisionError(
-                    f"pair {child_plus}|{child_minus} reached twice; "
-                    f"second route ends with letter {l}"
-                )
-            seen.add(key)
-            yield from visit(child_plus, child_minus, total + inc, child_deficit)
-
-    yield from visit((1,), (1,), 1, 0)
+    for (plus, minus), n, _, _ in pair_nodes(n_max, t):
+        yield n, len(plus) + len(minus), BiComposition(Composition(plus), Composition(minus))

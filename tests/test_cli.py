@@ -1,9 +1,15 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from seaweeds import cli
 from seaweeds.cli import main
+from seaweeds.counting import KINDS
+from seaweeds.seaweed_words import CollisionError
 
 
 def run(capsys, *argv):
@@ -146,6 +152,35 @@ class TestGenerate:
         )
         assert code == 2
 
+    # sha256 of the deficiency-mode JSONL, recorded before generation moved
+    # to the explicit-stack engine with its capped child budgets
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (("--kind", "seaweed", "--n-max", "14", "--t", "3"), 1525,
+         "c2b6928a18539933ddbc7532cfba61e20d060da0a82d63c3c8fde06871c75d6b"),
+        (("--kind", "parabolic-odd", "--n-max", "31", "--t", "2"), 486,
+         "af808f04ae190bf3906692262b6b9007d93ead478843906925676a762f60db10"),
+    ])
+    def test_deficiency_stream_bytes_pinned(self, capsys, argv, lines, digest):
+        code, out, _ = run(capsys, "generate", *argv)
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_records_stream_before_generation_ends(self, capsys, monkeypatch, tmp_path):
+        real = cli.generate_frobenius
+
+        def failing(n_max):
+            yield from real(1)
+            raise CollisionError("injected")
+
+        monkeypatch.setattr(cli, "generate_frobenius", failing)
+        with pytest.raises(CollisionError):
+            main(["generate", "--kind", "seaweed", "--n-max", "3"])
+        assert json.loads(capsys.readouterr().out)["word"] == ""
+        target = tmp_path / "g.jsonl"
+        with pytest.raises(CollisionError):
+            main(["generate", "--kind", "seaweed", "--n-max", "3", "--out", str(target)])
+        assert os.listdir(tmp_path) == []
+
 
 class TestTable:
     def test_both_agree(self, capsys):
@@ -169,6 +204,14 @@ class TestTable:
             capsys, "table", "--kind", "seaweed", "--n-max", "6", "--method", "deficiency"
         )
         assert code == 2 and "--t" in err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_both_agree_from_the_smallest_window(self, capsys, kind, n_max):
+        code, out, _ = run(
+            capsys, "table", "--kind", kind, "--n-max", str(n_max), "--method", "both"
+        )
+        assert (code, out.splitlines()[-1]) == (0, "AGREE")
 
     def test_budget_guard(self, capsys):
         code, _, err = run(
@@ -222,3 +265,46 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--kind", "seaweed"),
+        ("table", "--kind", "parabolic-even"),
+        ("fit", "--kind", "seaweed", "--t", "1"),
+    ])
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_exits_2(self, capsys, argv, n_max):
+        code, out, err = run(capsys, *argv, "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n-max must be >= 1, got {n_max}\n"
+
+    def test_no_global_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "1", "index", "2", "2"])
+        assert exc.value.code == 2
+
+
+class TestDeepWords:
+    """Word length grows with n; generation must not hit the recursion limit."""
+
+    def cli_in_fresh_interpreter(self, *argv):
+        code = "import sys; from seaweeds.cli import main; sys.exit(main(sys.argv[1:]))"
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+
+    def test_fit_t0_to_1200(self):
+        done = self.cli_in_fresh_interpreter(
+            "fit", "--kind", "seaweed", "--t", "0", "--n-max", "1200"
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["coefficients"] == ["2"]
+
+    def test_generate_t0_to_1500(self):
+        done = self.cli_in_fresh_interpreter(
+            "generate", "--kind", "seaweed", "--t", "0", "--n-max", "1500"
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        records = done.stdout.splitlines()
+        assert len(records) == 2999
+        assert json.loads(records[-1])["n"] == 1500

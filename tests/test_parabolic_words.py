@@ -22,7 +22,7 @@ from seaweeds import (
     theta,
     w_sequence_p,
 )
-from seaweeds.parabolic_words import letter_p, seed
+from seaweeds.parabolic_words import _child_moves_p, letter_p, seed
 from seaweeds.seaweed_words import SeaweedWord
 
 V_WORD = ParabolicWord.parse("T~0 S~0 S0")
@@ -206,6 +206,33 @@ class TestGenerate:
             for w, c in generate_frobenius_p(eps, 12):
                 assert factorize_p(c) == (eps, w)
 
+    def test_seed_above_n_max_is_not_emitted(self):
+        assert list(generate_frobenius_p(0, 1)) == []
+        assert list(generate_deficiency_p(0, 2, 1)) == []
+        assert list(generate_frobenius_p(1, 2)) == []
+        assert list(generate_frobenius_p(0, 2)) == [(IOTA_P, SEED_EVEN)]
+
+    @pytest.mark.parametrize("run", [
+        lambda: generate_frobenius_p(0, 0),
+        lambda: generate_deficiency_p(1, 1, 0),
+        lambda: generate_deficiency_p(0, -1, 4),
+        lambda: generate_frobenius_p(2, 4),
+    ])
+    def test_rejects_bad_arguments(self, run):
+        with pytest.raises(ValueError):
+            list(run())
+
+    def test_pre_order_with_children_in_move_order(self):
+        def reference(a, total, n_max, path):
+            yield str(ParabolicWord(tuple(reversed(path)))), a
+            for l, child, inc in _child_moves_p(a, n_max - total):
+                yield from reference(child, total + inc, n_max, path + [l])
+
+        for eps, start in ((0, (1, 1)), (1, (1,))):
+            want = list(reference(start, 2 - eps, 16, []))[eps:]  # the odd seed is skipped
+            got = [(str(w), c.parts) for w, c in generate_frobenius_p(eps, 16)]
+            assert got == want
+
     def test_first_last_equal_only_at_seeds(self):
         for eps in (0, 1):
             for _, c in generate_frobenius_p(eps, 18 - eps):
@@ -231,6 +258,23 @@ class TestGenerateDeficiency:
                     c for c, (n, p) in full.items() if p >= (n - eps) // 2 + 1 - t
                 }
                 assert got == want
+
+    def test_capped_budget_discards_only_t_letters(self, monkeypatch):
+        import seaweeds.parabolic_words as pw
+
+        offered = []
+        real = pw._child_moves_p
+
+        def recording(a, budget):
+            for move in real(a, budget):
+                offered.append(move)
+                yield move
+
+        monkeypatch.setattr(pw, "_child_moves_p", recording)
+        kept = {c.parts for _, _, c in generate_deficiency_p(1, 2, 31)}
+        dropped = [l for l, child, _ in offered if child not in kept]
+        assert len(offered) - len(dropped) == len(kept)  # the odd seed is not emitted
+        assert dropped and all(l.family == "T" for l in dropped)
 
     def test_counts_match_brute_diagonal(self):
         for k in range(2, 10):

@@ -30,7 +30,7 @@ from seaweeds import (
     word_stats,
     zeta,
 )
-from seaweeds.seaweed_words import letter
+from seaweeds.seaweed_words import _child_moves, letter, pair_nodes
 
 # totals of the exhaustive meander census, frozen from an independent
 # endpoint-walk enumeration over all pairs of compositions
@@ -325,6 +325,44 @@ class TestGenerateDeficiency:
         for n, p, b in generate_deficiency(2, 8):
             assert (n, p) == (b.total, b.num_parts)
             assert p >= n + 1 - 2
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        lengths = [len(letters) for _, _, _, letters in pair_nodes(3000, 0)]
+        assert len(lengths) == 2 * 3000 - 1
+        assert max(lengths) == 2999
+
+    def test_capped_budget_discards_only_t_letters(self, monkeypatch):
+        """Under the deficit cap every S letter offered fits; T letters sit
+        one deficiency step above S letters of equal increment."""
+        import seaweeds.seaweed_words as sw
+
+        offered = []
+        real = sw._child_moves
+
+        def recording(plus, minus, budget):
+            for move in real(plus, minus, budget):
+                offered.append(move)
+                yield move
+
+        monkeypatch.setattr(sw, "_child_moves", recording)
+        kept = {(b.plus.parts, b.minus.parts) for _, _, b in generate_deficiency(3, 14)}
+        dropped = [l for l, plus, minus, _ in offered if (plus, minus) not in kept]
+        assert len(offered) - len(dropped) == len(kept) - 1
+        assert dropped and all(l.family == "T" for l in dropped)
+
+
+class TestSearchOrder:
+    def test_pre_order_with_children_in_move_order(self):
+        def reference(plus, minus, total, n_max, path):
+            yield " ".join(l.token() for l in reversed(path)), f"{plus}|{minus}"
+            for l, child_plus, child_minus, inc in _child_moves(plus, minus, n_max - total):
+                yield from reference(child_plus, child_minus, total + inc, n_max, path + [l])
+
+        want = list(reference((1,), (1,), 1, 8, []))
+        got = [
+            (str(w), f"{b.plus.parts}|{b.minus.parts}") for w, b in generate_frobenius(8)
+        ]
+        assert got == want
 
 
 class TestOperatorLaws:
