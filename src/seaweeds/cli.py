@@ -20,13 +20,14 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO
 
 from .compositions import BiComposition, Composition, NULL
 from .counting import (
     KINDS,
     UnstableSequence,
+    _Kind,
+    _kind,
     brute_table,
     deficiency_sequence,
     deficiency_table,
@@ -53,31 +54,22 @@ from .seaweed_words import (
 )
 
 
-@dataclass
-class CommandConfig:
-    """Validated per-invocation settings shared by the subcommands."""
-
-    kind: Optional[str] = None
-    epsilon: Optional[int] = None
-    t: Optional[int] = None
-    n_max: Optional[int] = None
-    method: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"--n-max must be >= 1, got {self.n_max}")
-        if self.kind is not None and self.epsilon is not None:
-            implied = {"parabolic-even": 0, "parabolic-odd": 1}.get(self.kind)
-            if implied is None:
-                raise ValueError(
-                    f"--epsilon does not apply to kind {self.kind!r}"
-                )
-            if implied != self.epsilon:
-                raise ValueError(
-                    f"--epsilon {self.epsilon} contradicts kind {self.kind!r}"
-                )
-        if self.method == "deficiency" and self.t is None:
-            raise ValueError("--method deficiency needs --t")
+def _checked_kind(args) -> Optional[_Kind]:
+    """Reject bad usage of the counting subcommands; return the kind, if any."""
+    for dest in ("n_max", "seaweed_n_max", "parabolic_n_max"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
+    if getattr(args, "kind", None) is None:
+        return None
+    kind = _kind(args.kind)
+    if args.epsilon is not None and kind.epsilon is None:
+        raise ValueError(f"--epsilon does not apply to kind {kind.name!r}")
+    if args.epsilon is not None and args.epsilon != kind.epsilon:
+        raise ValueError(f"--epsilon {args.epsilon} contradicts kind {kind.name!r}")
+    if getattr(args, "method", None) == "deficiency" and args.t is None:
+        raise ValueError("--method deficiency needs --t")
+    return kind
 
 
 @contextmanager
@@ -166,8 +158,8 @@ def _cmd_meander(args) -> int:
     return 0
 
 
-def _generate_records(args) -> Iterator[dict]:
-    if args.kind == "seaweed":
+def _generate_records(args, eps: Optional[int]) -> Iterator[dict]:
+    if eps is None:
         if args.t is None:
             for word, b in generate_frobenius(args.n_max):
                 yield {"word": str(word), "plus": str(b.plus), "minus": str(b.minus),
@@ -175,9 +167,7 @@ def _generate_records(args) -> Iterator[dict]:
         else:
             for n, p, b in generate_deficiency(args.t, args.n_max):
                 yield {"plus": str(b.plus), "minus": str(b.minus), "n": n, "p": p}
-        return
-    eps = 0 if args.kind == "parabolic-even" else 1
-    if args.t is None:
+    elif args.t is None:
         for word, c in generate_frobenius_p(eps, args.n_max):
             yield {"epsilon": eps, "word": str(word), "parts": str(c),
                    "n": c.total, "p": c.num_parts}
@@ -187,16 +177,14 @@ def _generate_records(args) -> Iterator[dict]:
 
 
 def _cmd_generate(args) -> int:
-    CommandConfig(kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max).validate()
+    records = _generate_records(args, _checked_kind(args).epsilon)
     with _output(args.out) as handle:
-        handle.writelines(json.dumps(r) + "\n" for r in _generate_records(args))
+        handle.writelines(json.dumps(r) + "\n" for r in records)
     return 0
 
 
 def _cmd_table(args) -> int:
-    CommandConfig(
-        kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max, method=args.method,
-    ).validate()
+    _checked_kind(args)
     if args.method == "brute":
         table = brute_table(args.kind, args.n_max, budget_override=args.budget_override)
     elif args.method == "generated":
@@ -217,8 +205,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    CommandConfig(kind=args.kind, epsilon=args.epsilon, t=args.t, n_max=args.n_max).validate()
-    eps = {"parabolic-even": 0, "parabolic-odd": 1}.get(args.kind)
+    eps = _checked_kind(args).epsilon
     seq = deficiency_sequence(args.kind, args.t, range(1, args.n_max + 1))
     try:
         fit = fit_polynomial(seq, args.t, n_start=1, epsilon=eps)
@@ -230,6 +217,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _checked_kind(args)
     report = verify_published_polynomials(
         seaweed_n_max=args.seaweed_n_max, parabolic_n_max=args.parabolic_n_max
     )

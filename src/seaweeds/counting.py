@@ -9,18 +9,12 @@ objects with sum n and p parts (total parts, for pairs):
   the raw search nodes.
 
 Their agreement on the overlap is the central correctness check of this
-package.  Three table kinds exist: ``seaweed`` (pairs, all sums),
-``parabolic-even`` (sums 2, 4, ...) and ``parabolic-odd`` (sums 3, 5,
-...; the sum-1 composition stays outside the generation scheme and is
-excluded from the odd tables).
-
-For a fixed deficiency t, the diagonal counts
-
-    seaweed          F(n, n+1-t)           as a function of n
-    parabolic        F(2k+eps, k+1-t)      as a function of k
-
-eventually agree with a polynomial of degree floor(t/2).  The published
-closed forms are::
+package.  Three table kinds exist, each on the sums unit*k + eps for
+k >= 1: ``seaweed`` (pairs, unit 1, eps 0), ``parabolic-even`` (unit 2,
+eps 0) and ``parabolic-odd`` (unit 2, eps 1; the sum-1 composition stays
+outside the generation scheme).  For a fixed deficiency t, the diagonal
+counts F(unit*k + eps, k+1-t), as a function of k, eventually agree with
+a polynomial of degree floor(t/2).  The published closed forms are::
 
     seaweed    t=0..4:   2,  8,  2T+20,  12T+4,  T^2+33T-138
     parabolic  (eps,t):  (0,0) and (1,0): 2,   (0,1): 12,
@@ -35,9 +29,9 @@ runs all nine published cases end to end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .compositions import iter_compositions
 from .meander import component_counts, partner_array
@@ -47,8 +41,6 @@ from .parabolic_words import (  # noqa: F401
     composition_nodes, generate_deficiency_p, generate_frobenius_p,
 )
 from .seaweed_words import generate_deficiency, generate_frobenius, pair_nodes  # noqa: F401
-
-KINDS = ("seaweed", "parabolic-even", "parabolic-odd")
 
 SEAWEED_BRUTE_BUDGET = 14
 PARABOLIC_BRUTE_BUDGET = 20
@@ -62,13 +54,46 @@ class UnstableSequence(ValueError):
     """No qualifying constant tail in the higher finite differences."""
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+@dataclass(frozen=True)
+class _Kind:
+    """Pairs (no epsilon), or compositions of parity epsilon: a composition
+    ``a`` of n is the seaweed ``(a | (n))`` with the bottom block uncounted."""
+
+    name: str
+    epsilon: Optional[int]
+
+    @property
+    def unit(self) -> int:
+        return 1 if self.epsilon is None else 2
+
+    @property
+    def offset(self) -> int:
+        return self.epsilon or 0
+
+    def bottoms(self, n: int) -> Iterable[tuple[tuple[int, ...], int]]:
+        """(bottom, counted parts) to pair with every top composition of n."""
+        if self.epsilon is None:
+            return ((c, len(c)) for c in iter_compositions(n))
+        return (((n,), 0),)
+
+    def sizes(self, n_max: int, t: Optional[int]) -> Iterable[tuple[int, int]]:
+        """(sum, parts) of every raw search node; no objects are built."""
+        if self.epsilon is None:
+            nodes = pair_nodes(n_max, t)
+            return ((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
+        nodes = composition_nodes(self.epsilon, n_max, t)
+        return ((n, len(a)) for (a,), n, _, _ in nodes)
 
 
-def _epsilon(kind: str) -> int:
-    return 0 if kind == "parabolic-even" else 1
+_KIND_TABLE = (_Kind("seaweed", None), _Kind("parabolic-even", 0), _Kind("parabolic-odd", 1))
+KINDS = tuple(kind.name for kind in _KIND_TABLE)
+
+
+def _kind(name: str) -> _Kind:
+    for kind in _KIND_TABLE:
+        if kind.name == name:
+            return kind
+    raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +121,12 @@ class CountTable:
     def bound_violations(self) -> list[tuple[int, int, int]]:
         """Entries sitting above the hard part-count ceiling for the kind.
 
-        Seaweed pairs vanish for p > n + 1; parabolic compositions vanish
-        for p > floor(n/2) + 1.  A nonempty result is a correctness bug.
+        Counts vanish for p > n // unit + 1: p > n + 1 for seaweed pairs,
+        p > floor(n/2) + 1 for parabolic compositions.  A nonempty result
+        is a correctness bug.
         """
-        if self.kind == "seaweed":
-            return [(n, p, c) for (n, p), c in sorted(self.entries.items()) if p > n + 1]
-        return [(n, p, c) for (n, p), c in sorted(self.entries.items()) if p > n // 2 + 1]
+        unit = _kind(self.kind).unit
+        return [(n, p, c) for (n, p), c in sorted(self.entries.items()) if p > n // unit + 1]
 
 
 def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTable:
@@ -111,46 +136,29 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     n_max <= 14 unless overridden; parabolic kinds walk 2^(n-1)
     compositions per sum, budget 20.
     """
-    _check_kind(kind)
-    budget = SEAWEED_BRUTE_BUDGET if kind == "seaweed" else PARABOLIC_BRUTE_BUDGET
+    spec = _kind(kind)
+    budget = SEAWEED_BRUTE_BUDGET if spec.epsilon is None else PARABOLIC_BRUTE_BUDGET
     if n_max > budget and not budget_override:
         raise BudgetExceeded(
             f"brute {kind} table to n={n_max} exceeds the default budget {budget}; "
             f"pass budget_override to force"
         )
     entries: dict[tuple[int, int], int] = {}
-    if kind == "seaweed":
-        for n in range(1, n_max + 1):
-            comps = list(iter_compositions(n))
-            partners = [partner_array(c, n) for c in comps]
-            for ci, ti in zip(comps, partners):
-                for cj, tj in zip(comps, partners):
-                    cycles, paths = component_counts(ti, tj)
-                    if cycles == 0 and paths == 1:
-                        key = (n, len(ci) + len(cj))
-                        entries[key] = entries.get(key, 0) + 1
-    else:
-        eps = _epsilon(kind)
-        start = 2 if eps == 0 else 3
-        for n in range(start, n_max + 1, 2):
-            full = partner_array((n,), n)
-            for c in iter_compositions(n):
-                cycles, paths = component_counts(partner_array(c, n), full)
+    for n in range(spec.unit + spec.offset, n_max + 1, spec.unit):
+        bottoms = [(partner_array(c, n), parts) for c, parts in spec.bottoms(n)]
+        for top in iter_compositions(n):
+            top_partners = partner_array(top, n)
+            for bottom_partners, parts in bottoms:
+                cycles, paths = component_counts(top_partners, bottom_partners)
                 if cycles == 0 and paths == 1:
-                    key = (n, len(c))
+                    key = (n, len(top) + parts)
                     entries[key] = entries.get(key, 0) + 1
     return CountTable(kind=kind, method="brute", entries=entries)
 
 
 def _tally(kind: str, method: str, n_max: int, t: Optional[int]) -> CountTable:
-    """Tally the raw search nodes by (sum, parts); no objects are built."""
-    _check_kind(kind)
-    if kind == "seaweed":
-        nodes = pair_nodes(n_max, t)
-        sizes = ((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
-    else:
-        nodes = composition_nodes(_epsilon(kind), n_max, t)
-        sizes = ((n, len(a)) for (a,), n, _, _ in nodes)
+    """Tally the raw search nodes by (sum, parts)."""
+    sizes = _kind(kind).sizes(n_max, t)
     return CountTable(kind=kind, method=method, entries=dict(Counter(sizes)))
 
 
@@ -167,20 +175,15 @@ def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
 def deficiency_sequence(kind: str, t: int, n_range: range) -> list[int]:
     """Counts along the deficiency-t diagonal, indexed by ``n_range``.
 
-    For the seaweed kind the index n is the sum and the count is
-    F(n, n+1-t).  For parabolic kinds the index is the half-variable k:
-    the count is F(2k+eps, k+1-t), with eps fixed by the kind.
+    The count at index k is F(unit*k + eps, k + 1 - t): for the seaweed
+    kind k is the sum itself, for parabolic kinds the half-variable of
+    the sum 2k + eps, with eps fixed by the kind.
     """
-    _check_kind(kind)
+    spec = _kind(kind)
     if len(n_range) == 0:
         return []
-    hi = max(n_range)
-    if kind == "seaweed":
-        table = deficiency_table(kind, t, hi)
-        return [table.count(n, n + 1 - t) for n in n_range]
-    eps = _epsilon(kind)
-    table = deficiency_table(kind, t, 2 * hi + eps)
-    return [table.count(2 * k + eps, k + 1 - t) for k in n_range]
+    table = deficiency_table(kind, t, spec.unit * max(n_range) + spec.offset)
+    return [table.count(spec.unit * k + spec.offset, k + 1 - t) for k in n_range]
 
 
 @dataclass(frozen=True)
@@ -301,14 +304,7 @@ def fit_polynomial(
         if fit.evaluate(n) != values[idx]:
             break
         stable_from = n
-    return PolyFit(
-        t=fit.t,
-        degree=fit.degree,
-        coefficients=fit.coefficients,
-        stable_from=stable_from,
-        window=fit.window,
-        epsilon=epsilon,
-    )
+    return replace(fit, stable_from=stable_from)
 
 
 EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
@@ -380,8 +376,8 @@ def verify_published_polynomials(
         fits: list[Optional[PolyFit]] = []
         matched = True
         for kind, t in cases:
-            n_max = seaweed_n_max if kind == "seaweed" else parabolic_n_max
-            eps = None if kind == "seaweed" else _epsilon(kind)
+            eps = _kind(kind).epsilon
+            n_max = seaweed_n_max if eps is None else parabolic_n_max
             seq = deficiency_sequence(kind, t, range(1, n_max + 1))
             expected = tuple(Fraction(c) for c in EXPECTED_COEFFS[(kind, t)])
             try:

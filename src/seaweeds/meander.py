@@ -161,10 +161,7 @@ def index_seaweed(a: BiComposition) -> int:
 
 def is_frobenius(a: BiComposition) -> bool:
     """True when the index is zero, i.e. the meander graph is one path."""
-    cycles, paths = component_counts(
-        partner_array(a.plus.parts, a.total), partner_array(a.minus.parts, a.total)
-    )
-    return cycles == 0 and paths == 1
+    return index_of_parts(a.plus.parts, a.minus.parts, a.total) == 0
 
 
 def index_parabolic(a: Composition) -> int:

@@ -277,10 +277,56 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == f"error: --n-max must be >= 1, got {n_max}\n"
 
+    @pytest.mark.parametrize("flag", ["--seaweed-n-max", "--parabolic-n-max"])
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_verify_window_below_one_exits_2(self, capsys, flag, n_max):
+        code, out, err = run(capsys, "verify", flag, n_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 1, got {n_max}\n"
+
     def test_no_global_seed_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--seed", "1", "index", "2", "2"])
         assert exc.value.code == 2
+
+
+# sha256 of stdout, exit code and exact stderr for every kind, recorded
+# before the kind-specific branches were merged into one kind descriptor
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("argv, code, digest, err", [
+    ("table --kind seaweed --n-max 7 --method brute", 0,
+     "dd487650ddcc8b1af5917687ac7bc3c73444039923d2c6e56693a0054ba0a9f8", ""),
+    ("table --kind seaweed --n-max 14 --method deficiency --t 2", 0,
+     "6a3519908d0d3fdd26315c1e79cb355d9b5156461d4e602d181aaf917833e014", ""),
+    ("fit --kind seaweed --t 1", 0,
+     "14d1b222991f5f459a8a9fc0a887fcc7b36b1e4eed21c53d499a8701fb6b6ebc", ""),
+    ("table --kind parabolic-even --n-max 14 --method brute", 0,
+     "12437af5b6e0a1d8152a204b8a2d7ae9fb90506c403dda2067b71f5ccdbd4627", ""),
+    ("table --kind parabolic-even --n-max 30 --method deficiency --t 2", 0,
+     "2a64cb25b489e7b860744be961228e428d63141f8946a7ae3293abe4b3b11df8", ""),
+    ("fit --kind parabolic-even --t 1", 0,
+     "d21de77bd52a0f8d9ba37351fe0d7c47b9dbba1ae672615e0d7413c23ffab17c", ""),
+    ("table --kind parabolic-odd --n-max 15 --method brute", 0,
+     "cfeb81254b362923bedeb8136bd356f4c32bb32f2fdef3a2af9b5bda1620b3ce", ""),
+    ("table --kind parabolic-odd --n-max 31 --method deficiency --t 2", 0,
+     "e8064cdcbee2d51709f43d135c3b31e22a5ab22e453776b691edba49a6414680", ""),
+    ("fit --kind parabolic-odd --t 1", 0,
+     "daea269b7829d7640e1e0286a3306c7759c04359ebc04e04838487b2e5b4f40e", ""),
+    ("generate --kind parabolic-even --n-max 20 --t 1", 0,
+     "67698019ddff0ffc8cc7b4046e034a1c5a4f051bf7db017920474c2ea32b4fcd", ""),
+    ("generate --kind seaweed --n-max 4 --epsilon 1", 2, EMPTY,
+     "error: --epsilon does not apply to kind 'seaweed'\n"),
+    ("generate --kind parabolic-odd --n-max 4 --epsilon 0", 2, EMPTY,
+     "error: --epsilon 0 contradicts kind 'parabolic-odd'\n"),
+    ("table --kind seaweed --n-max 6 --method deficiency", 2, EMPTY,
+     "error: --method deficiency needs --t\n"),
+])
+def test_per_kind_output_pinned(capsys, argv, code, digest, err):
+    got_code, out, got_err = run(capsys, *argv.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeepWords:

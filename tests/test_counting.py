@@ -75,6 +75,10 @@ class TestBounds:
         assert bad.bound_violations() == [(3, 5, 1)]
         bad = CountTable("parabolic-even", "brute", {(4, 4): 2})
         assert bad.bound_violations() == [(4, 4, 2)]
+        bad = CountTable("parabolic-odd", "brute", {(5, 3): 6, (5, 4): 1})
+        assert bad.bound_violations() == [(5, 4, 1)]
+        with pytest.raises(ValueError, match="unknown kind 'Seaweed'"):
+            CountTable("Seaweed", "brute", {(3, 3): 2}).bound_violations()
 
 
 class TestDeficiency:
@@ -84,10 +88,11 @@ class TestDeficiency:
             seq = deficiency_sequence("seaweed", t, range(1, 11))
             assert seq == [full.count(n, n + 1 - t) for n in range(1, 11)]
 
-    def test_parabolic_diagonal_indexing(self):
-        even = generated_table("parabolic-even", 20)
-        seq = deficiency_sequence("parabolic-even", 1, range(1, 11))
-        assert seq == [even.count(2 * k, k) for k in range(1, 11)]
+    @pytest.mark.parametrize("kind,eps", [("parabolic-even", 0), ("parabolic-odd", 1)])
+    def test_parabolic_diagonal_indexing(self, kind, eps):
+        full = generated_table(kind, 20 + eps)
+        seq = deficiency_sequence(kind, 1, range(1, 11))
+        assert seq == [full.count(2 * k + eps, k) for k in range(1, 11)]
 
     def test_table_subset_of_full(self):
         full = generated_table("seaweed", 9)
