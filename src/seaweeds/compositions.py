@@ -206,3 +206,28 @@ def iter_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(rest - first, prefix + (first,))
 
     return rec(n, ())
+
+
+def iter_compositions_odd(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the compositions of ``n`` with exactly ``k`` odd parts, as raw tuples.
+
+    An explicit-stack depth-first walk in the same lexicographic order as
+    :func:`iter_compositions`.  ``j`` odd parts can make up ``rest`` exactly
+    when ``rest >= j`` and ``rest - j`` is even.  The walk starts from such
+    a state and no part changes the parity of ``rest - j``, so a part is
+    placed only when it leaves ``rest >= j``, and no branch is a dead end.
+    """
+    if n < 1:
+        raise ValueError(f"compositions exist only for n >= 1, got {n}")
+    if k < 0 or k > n or (n - k) % 2:
+        return
+    stack = [((), n, k)]
+    while stack:
+        prefix, rest, odd = stack.pop()
+        if rest == 0:
+            yield prefix
+            continue
+        for first in range(rest, 0, -1):
+            left = odd - (first & 1)
+            if 0 <= left <= rest - first:
+                stack.append((prefix + (first,), rest - first, left))

@@ -3,8 +3,9 @@
 Two independent routes produce the tables F(n, p) = number of Frobenius
 objects with sum n and p parts (total parts, for pairs):
 
-* ``brute_table`` enumerates every composition (or pair) and asks the
-  meander oracle whether the index is zero;
+* ``brute_table`` enumerates the compositions (or pairs) with exactly two
+  odd parts in total, the only ones whose meander graph can be one path,
+  and walks each graph to see whether it is;
 * ``generated_table`` tallies the free-monoid generation, straight from
   the raw search nodes.
 
@@ -33,10 +34,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .compositions import iter_compositions
-from .meander import component_counts, partner_array
-# The generate_* names are not called here; they stay bound because
-# perfbench/tracing.py wraps this module's bindings of them.
+# iter_compositions, component_counts and the generate_* names are not called
+# here; they stay bound because perfbench/tracing.py wraps this module's
+# bindings of them.
+from .compositions import iter_compositions, iter_compositions_odd  # noqa: F401
+from .meander import component_counts, partner_array, path_size  # noqa: F401
 from .parabolic_words import (  # noqa: F401
     composition_nodes, generate_deficiency_p, generate_frobenius_p,
 )
@@ -70,11 +72,13 @@ class _Kind:
     def offset(self) -> int:
         return self.epsilon or 0
 
-    def bottoms(self, n: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        """(bottom, counted parts) to pair with every top composition of n."""
+    def bottoms(self, n: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """(bottom, counted parts) of sum n that can close a Frobenius pair,
+        keyed by the bottom's number of odd parts, which is at most two."""
         if self.epsilon is None:
-            return ((c, len(c)) for c in iter_compositions(n))
-        return (((n,), 0),)
+            return {k: [(c, len(c)) for c in iter_compositions_odd(n, k)]
+                    for k in range(n % 2, 3, 2)}
+        return {n % 2: [((n,), 0)]}
 
     def sizes(self, n_max: int, t: Optional[int]) -> Iterable[tuple[int, int]]:
         """(sum, parts) of every raw search node; no objects are built."""
@@ -132,9 +136,16 @@ class CountTable:
 def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTable:
     """Exhaustive meander census, tallied by (sum, parts).
 
-    The seaweed kind walks 4^(n-1) pairs per sum and is budgeted at
-    n_max <= 14 unless overridden; parabolic kinds walk 2^(n-1)
-    compositions per sum, budget 20.
+    A block of size a gives floor(a/2) arcs, so a candidate with k odd
+    parts in total has n - k/2 arcs, while a single path on n vertices has
+    n - 1.  Hence only candidates with exactly two odd parts in total can
+    be Frobenius, and only those are enumerated: top and bottom odd-part
+    counts (0, 2), (1, 1) or (2, 0) for pairs, and a top with
+    2 - (n mod 2) odd parts against the block (n) for compositions.  Such
+    a graph is one path plus cycles, so it is Frobenius exactly when the
+    walk from the bare middle vertex of its first odd block covers all n
+    vertices.  The seaweed kind is budgeted at n_max <= 14 unless
+    overridden, the parabolic kinds at 20.
     """
     spec = _kind(kind)
     budget = SEAWEED_BRUTE_BUDGET if spec.epsilon is None else PARABOLIC_BRUTE_BUDGET
@@ -145,14 +156,15 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
         )
     entries: dict[tuple[int, int], int] = {}
     for n in range(spec.unit + spec.offset, n_max + 1, spec.unit):
-        bottoms = [(partner_array(c, n), parts) for c, parts in spec.bottoms(n)]
-        for top in iter_compositions(n):
-            top_partners = partner_array(top, n)
-            for bottom_partners, parts in bottoms:
-                cycles, paths = component_counts(top_partners, bottom_partners)
-                if cycles == 0 and paths == 1:
-                    key = (n, len(top) + parts)
-                    entries[key] = entries.get(key, 0) + 1
+        for k, group in spec.bottoms(n).items():
+            bottoms = [(partner_array(c, n), parts) for c, parts in group]
+            for top in iter_compositions_odd(n, 2 - k):
+                top_partners = partner_array(top, n)
+                for bottom_partners, parts in bottoms:
+                    first_odd = top_partners if k < 2 else bottom_partners
+                    if path_size(top_partners, bottom_partners, first_odd.index(-1)) == n:
+                        key = (n, len(top) + parts)
+                        entries[key] = entries.get(key, 0) + 1
     return CountTable(kind=kind, method="brute", entries=entries)
 
 

@@ -51,50 +51,49 @@ def partner_array(parts, n: int) -> tuple[int, ...]:
 def component_counts(top: tuple[int, ...], bot: tuple[int, ...]) -> tuple[int, int]:
     """(cycles, paths) of the meander graph given by two partner arrays.
 
-    Union-find over the arcs with path compression; a component is a
-    cycle exactly when it has as many arcs as vertices (each vertex then
-    has degree 2), otherwise it is a path.  Allocation-light on purpose:
-    the brute-force oracle calls this millions of times.
+    One pass of union-find over the arcs, with path halving.  Every vertex
+    meets at most one arc per layer, so every component is a path or a
+    cycle: a path of v vertices has v - 1 arcs and a cycle v.  Hence each
+    cycle has exactly one arc whose ends are already joined when it comes,
+    so cycles = such arcs, and paths = n - successful joins - cycles.
     """
     n = len(top)
     parent = list(range(n))
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    edges = 0
-    for u in range(n):
-        for layer in (top, bot):
-            v = layer[u]
+    joins = cycles = 0
+    for layer in (top, bot):
+        for u, v in enumerate(layer):
             if v > u:
-                edges += 1
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u == v:
+                    cycles += 1
+                else:
+                    parent[v] = u
+                    joins += 1
+    return cycles, n - joins - cycles
 
-    size = [0] * n
-    arc_count = [0] * n
-    for v in range(n):
-        size[find(v)] += 1
-    for u in range(n):
-        for layer in (top, bot):
-            v = layer[u]
-            if v > u:
-                arc_count[find(u)] += 1
 
-    cycles = paths = 0
-    for v in range(n):
-        if parent[v] == v:
-            if arc_count[v] == size[v]:
-                cycles += 1
-            else:
-                paths += 1
-    return cycles, paths
+def path_size(top: tuple[int, ...], bot: tuple[int, ...], end: int) -> int:
+    """Number of vertices on the path component that ends at vertex ``end``.
+
+    ``end`` must be bare in at least one layer (a path end, or an isolated
+    vertex); the walk leaves it through its one arc and alternates layers
+    until it reaches the other end.  When the graph has n - 1 arcs it is
+    one path plus cycles, so it is one single path (Frobenius) exactly
+    when this returns n.
+    """
+    layer, other = (bot, top) if top[end] < 0 else (top, bot)
+    if other[end] >= 0:
+        raise ValueError(f"vertex {end} has an arc in both layers; it ends no path")
+    size = 1
+    v = layer[end]
+    while v >= 0:
+        size += 1
+        layer, other = other, layer
+        v = layer[v]
+    return size
 
 
 @dataclass(frozen=True)

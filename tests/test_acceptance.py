@@ -54,15 +54,15 @@ def parabolic_generated_18():
 
 
 @pytest.fixture(scope="session")
-def seaweed_brute_11():
-    return brute_table("seaweed", 11)
+def seaweed_brute_14():
+    return brute_table("seaweed", 14)
 
 
 @pytest.fixture(scope="session")
-def parabolic_brute_18():
+def parabolic_brute_20():
     return {
-        0: brute_table("parabolic-even", 18),
-        1: brute_table("parabolic-odd", 17),
+        0: brute_table("parabolic-even", 20),
+        1: brute_table("parabolic-odd", 19),
     }
 
 
@@ -88,25 +88,25 @@ def test_criterion_1_published_polynomials():
 
 
 def test_criterion_2_oracle_equivalence(
-    seaweed_brute_11, parabolic_brute_18
+    seaweed_brute_14, parabolic_brute_20
 ):
-    assert generated_table("seaweed", 11).entries == seaweed_brute_11.entries
+    assert generated_table("seaweed", 14).entries == seaweed_brute_14.entries
     assert (
-        generated_table("parabolic-even", 18).entries == parabolic_brute_18[0].entries
+        generated_table("parabolic-even", 20).entries == parabolic_brute_20[0].entries
     )
     assert (
-        generated_table("parabolic-odd", 17).entries == parabolic_brute_18[1].entries
+        generated_table("parabolic-odd", 19).entries == parabolic_brute_20[1].entries
     )
     print(
         "PASS criterion 2: brute census equals generation census "
-        "(seaweed n<=11, parabolic n<=18)"
+        "(seaweed n<=14, parabolic n<=20)"
     )
 
 
-def test_criterion_3_emptiness_bounds(seaweed_brute_11, parabolic_brute_18):
-    assert seaweed_brute_11.bound_violations() == []
-    assert parabolic_brute_18[0].bound_violations() == []
-    assert parabolic_brute_18[1].bound_violations() == []
+def test_criterion_3_emptiness_bounds(seaweed_brute_14, parabolic_brute_20):
+    assert seaweed_brute_14.bound_violations() == []
+    assert parabolic_brute_20[0].bound_violations() == []
+    assert parabolic_brute_20[1].bound_violations() == []
     print("PASS criterion 3: no counts above p=n+1 (pairs) or p=floor(n/2)+1")
 
 

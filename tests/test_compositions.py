@@ -14,6 +14,7 @@ from seaweeds import (
     scale,
     theta,
 )
+from seaweeds.compositions import iter_compositions_odd
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8)
 
@@ -123,3 +124,17 @@ def test_iter_compositions_complete(n):
 def test_iter_compositions_rejects_zero():
     with pytest.raises(ValueError):
         list(iter_compositions(0))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_iter_compositions_odd_is_the_filtered_full_list(n):
+    # same compositions, in the same order, as filtering the full list
+    comps = list(iter_compositions(n))
+    for k in range(-1, n + 2):
+        want = [c for c in comps if sum(a % 2 for a in c) == k]
+        assert list(iter_compositions_odd(n, k)) == want
+
+
+def test_iter_compositions_odd_rejects_zero():
+    with pytest.raises(ValueError):
+        list(iter_compositions_odd(0, 0))
