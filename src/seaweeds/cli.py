@@ -36,21 +36,23 @@ from .counting import (
     verify_published_polynomials,
 )
 from .meander import build_meander, index_parabolic, index_seaweed, render
-from .parabolic_words import (
+# generate_frobenius(_p) are not called here; they stay bound because
+# perfbench/tracing.py wraps this module's bindings of them.
+from .parabolic_words import (  # noqa: F401
     ParabolicWord,
+    composition_nodes,
     evaluate_p,
     factorize_p,
-    generate_deficiency_p,
     generate_frobenius_p,
     seed,
 )
-from .seaweed_words import (
+from .seaweed_words import (  # noqa: F401
     SEED,
     SeaweedWord,
     evaluate,
     factorize,
-    generate_deficiency,
     generate_frobenius,
+    pair_nodes,
 )
 
 
@@ -158,28 +160,30 @@ def _cmd_meander(args) -> int:
     return 0
 
 
-def _generate_records(args, eps: Optional[int]) -> Iterator[dict]:
+def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterator[str]:
+    """The ``generate`` records as JSONL lines, straight from the search's raw nodes.
+
+    Each line is the text ``json.dumps`` gives for the record dict, with the
+    same keys in the same order.  No value needs escaping: the values are
+    ints, digits joined by commas, and letter tokens joined by spaces.
+    """
     if eps is None:
-        if args.t is None:
-            for word, b in generate_frobenius(args.n_max):
-                yield {"word": str(word), "plus": str(b.plus), "minus": str(b.minus),
-                       "n": b.total, "p": b.num_parts}
-        else:
-            for n, p, b in generate_deficiency(args.t, args.n_max):
-                yield {"plus": str(b.plus), "minus": str(b.minus), "n": n, "p": p}
-    elif args.t is None:
-        for word, c in generate_frobenius_p(eps, args.n_max):
-            yield {"epsilon": eps, "word": str(word), "parts": str(c),
-                   "n": c.total, "p": c.num_parts}
+        for (plus, minus), n, _, letters in pair_nodes(n_max, t):
+            word = "" if t is not None else f'"word": "{" ".join([l.text for l in letters])}", '
+            yield (f'{{{word}"plus": "{",".join(map(str, plus))}", '
+                   f'"minus": "{",".join(map(str, minus))}", '
+                   f'"n": {n}, "p": {len(plus) + len(minus)}}}\n')
     else:
-        for n, p, c in generate_deficiency_p(eps, args.t, args.n_max):
-            yield {"epsilon": eps, "parts": str(c), "n": n, "p": p}
+        for (a,), n, _, letters in composition_nodes(eps, n_max, t):
+            word = "" if t is not None else f'"word": "{" ".join([l.text for l in letters])}", '
+            yield (f'{{"epsilon": {eps}, {word}"parts": "{",".join(map(str, a))}", '
+                   f'"n": {n}, "p": {len(a)}}}\n')
 
 
 def _cmd_generate(args) -> int:
-    records = _generate_records(args, _checked_kind(args).epsilon)
+    lines = _generate_lines(_checked_kind(args).epsilon, args.n_max, args.t)
     with _output(args.out) as handle:
-        handle.writelines(json.dumps(r) + "\n" for r in records)
+        handle.writelines(lines)
     return 0
 
 

@@ -93,7 +93,7 @@ class Composition:
         return iter(self.parts)
 
     def __str__(self):
-        return ",".join(str(a) for a in self.parts)
+        return ",".join(map(str, self.parts))
 
     @classmethod
     def parse(cls, text: str) -> "Composition":

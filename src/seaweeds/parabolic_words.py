@@ -26,7 +26,7 @@ a failure would falsify freeness of the word monoid and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -48,18 +48,21 @@ class ParabolicLetter:
     family: str  # "S" or "T"
     tilde: bool
     m: int
+    text: str = field(init=False, repr=False, compare=False)  # the token
 
     def __post_init__(self):
         if self.family not in ("S", "T"):
             raise ValueError(f"letter family must be 'S' or 'T', got {self.family!r}")
         if self.m < 0:
             raise ValueError(f"letter index m must be >= 0, got {self.m}")
+        token = f"{self.family}{'~' if self.tilde else ''}{self.m}"
+        object.__setattr__(self, "text", token)
 
     def token(self) -> str:
-        return f"{self.family}{'~' if self.tilde else ''}{self.m}"
+        return self.text
 
     def __str__(self):
-        return self.token()
+        return self.text
 
     @classmethod
     def parse(cls, tok: str) -> "ParabolicLetter":
@@ -91,7 +94,7 @@ class ParabolicWord:
         return iter(self.letters)
 
     def __str__(self):
-        return " ".join(l.token() for l in self.letters)
+        return " ".join([l.text for l in self.letters])
 
     def __mul__(self, other: "ParabolicWord") -> "ParabolicWord":
         return ParabolicWord(self.letters + other.letters)
@@ -201,10 +204,12 @@ def factorize_p(a: Composition) -> Optional[tuple[int, ParabolicWord]]:
     if cur == (1, 1):
         return 0, ParabolicWord(tuple(collected))
     if cur == (1,):
-        word = ParabolicWord(tuple(collected))
         # reaching (1) shrinks the length, which only S-family strips do
-        assert word.letters and word.letters[-1].family == "S"
-        return 1, word
+        if not collected or collected[-1].family != "S":
+            raise AmbiguousInverse(
+                f"{a} reduces to the odd seed (1), but not by stripping an S letter last"
+            )
+        return 1, ParabolicWord(tuple(collected))
     return None
 
 

@@ -39,7 +39,7 @@ makes the pruned generator :func:`generate_deficiency` exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -63,6 +63,7 @@ class SeaweedLetter:
     family: str  # "S" or "T"
     sign: int    # +1 or -1
     m: int
+    text: str = field(init=False, repr=False, compare=False)  # the token
 
     def __post_init__(self):
         if self.family not in ("S", "T"):
@@ -71,12 +72,14 @@ class SeaweedLetter:
             raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
         if self.m < 0:
             raise ValueError(f"letter index m must be >= 0, got {self.m}")
+        token = f"{self.family}{'+' if self.sign == 1 else '-'}{self.m}"
+        object.__setattr__(self, "text", token)
 
     def token(self) -> str:
-        return f"{self.family}{'+' if self.sign == 1 else '-'}{self.m}"
+        return self.text
 
     def __str__(self):
-        return self.token()
+        return self.text
 
     def barred(self) -> "SeaweedLetter":
         return letter(self.family, -self.sign, self.m)
@@ -111,7 +114,7 @@ class SeaweedWord:
         return iter(self.letters)
 
     def __str__(self):
-        return " ".join(l.token() for l in self.letters)
+        return " ".join([l.text for l in self.letters])
 
     def __mul__(self, other: "SeaweedWord") -> "SeaweedWord":
         """Concatenation: (v * w)(a) = v(w(a))."""

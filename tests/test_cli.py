@@ -6,16 +6,35 @@ import sys
 
 import pytest
 
-from seaweeds import cli
 from seaweeds.cli import main
 from seaweeds.counting import KINDS
-from seaweeds.seaweed_words import CollisionError
+from seaweeds.parabolic_words import generate_deficiency_p, generate_frobenius_p
+from seaweeds.seaweed_words import CollisionError, generate_deficiency, generate_frobenius
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def generator_records(kind, n_max, t):
+    """The ``generate`` records built from the public generators' objects."""
+    eps = {"seaweed": None, "parabolic-even": 0, "parabolic-odd": 1}[kind]
+    if eps is None and t is None:
+        for w, b in generate_frobenius(n_max):
+            yield {"word": str(w), "plus": str(b.plus), "minus": str(b.minus),
+                   "n": b.total, "p": b.num_parts}
+    elif eps is None:
+        for n, p, b in generate_deficiency(t, n_max):
+            yield {"plus": str(b.plus), "minus": str(b.minus), "n": n, "p": p}
+    elif t is None:
+        for w, c in generate_frobenius_p(eps, n_max):
+            yield {"epsilon": eps, "word": str(w), "parts": str(c),
+                   "n": c.total, "p": c.num_parts}
+    else:
+        for n, p, c in generate_deficiency_p(eps, t, n_max):
+            yield {"epsilon": eps, "parts": str(c), "n": n, "p": p}
 
 
 class TestIndex:
@@ -165,14 +184,40 @@ class TestGenerate:
         assert code == 0 and out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the word-carrying JSONL, recorded before the records were
+    # formatted straight from the search's raw nodes
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (("--kind", "seaweed", "--n-max", "11"), 4479,
+         "4f112a861100ff469f3130235f5689cd5dd10b0e0f9ea49df6668a3d5315ffc1"),
+        (("--kind", "parabolic-even", "--n-max", "22"), 11995,
+         "becb5be9e527c7d25220c216e9d54efae58ad062e9e8dae9304f440506378099"),
+        (("--kind", "parabolic-odd", "--n-max", "21"), 3216,
+         "e73bc97d5bba03ec38e457853b28238ae153678599240ce5780554c96b512f66"),
+    ])
+    def test_word_stream_bytes_pinned(self, capsys, argv, lines, digest):
+        code, out, _ = run(capsys, "generate", *argv)
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("t", [None, 0, 2])
+    @pytest.mark.parametrize("kind, n_max", [
+        ("seaweed", 9), ("parabolic-even", 18), ("parabolic-odd", 19),
+    ])
+    def test_records_match_the_public_generators(self, capsys, kind, n_max, t):
+        argv = ["generate", "--kind", kind, "--n-max", str(n_max)]
+        code, out, _ = run(capsys, *argv, *(() if t is None else ("--t", str(t))))
+        assert code == 0
+        got = [list(json.loads(line).items()) for line in out.splitlines()]
+        assert got == [list(r.items()) for r in generator_records(kind, n_max, t)]
+
     def test_records_stream_before_generation_ends(self, capsys, monkeypatch, tmp_path):
-        real = cli.generate_frobenius
+        import seaweeds.seaweed_words as sw
 
-        def failing(n_max):
-            yield from real(1)
-            raise CollisionError("injected")
+        def duplicate(plus, minus, budget):
+            yield sw.letter("S", 1, 0), (2,), (1, 1), 1
+            yield sw.letter("S", -1, 0), (2,), (1, 1), 1
 
-        monkeypatch.setattr(cli, "generate_frobenius", failing)
+        monkeypatch.setattr(sw, "_child_moves", duplicate)
         with pytest.raises(CollisionError):
             main(["generate", "--kind", "seaweed", "--n-max", "3"])
         assert json.loads(capsys.readouterr().out)["word"] == ""

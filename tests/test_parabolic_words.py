@@ -373,3 +373,10 @@ class TestFreenessMachinery:
         monkeypatch.setattr(pw, "_apply_raw_p", lambda *args: (999,))
         with pytest.raises(pw.AmbiguousInverse):
             pw.reduce_once_p(comp(2, 1))
+
+    def test_odd_seed_reached_by_a_t_strip_raises(self, monkeypatch):
+        import seaweeds.parabolic_words as pw
+
+        monkeypatch.setattr(pw, "_reduce_raw_p", lambda a: ((1,), pw.letter_p("T", False, 0)))
+        with pytest.raises(pw.AmbiguousInverse, match="not by stripping an S letter"):
+            pw.factorize_p(comp(1, 2))
