@@ -35,7 +35,7 @@ from .counting import (
     generated_table,
     verify_published_polynomials,
 )
-from .meander import build_meander, index_parabolic, index_seaweed, render
+from .meander import build_meander, index_seaweed, render
 # generate_frobenius(_p) are not called here; they stay bound because
 # perfbench/tracing.py wraps this module's bindings of them.
 from .parabolic_words import (  # noqa: F401
@@ -98,47 +98,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         handle.write(text)
 
 
-def _parse_args_pair(args) -> tuple[Optional[BiComposition], Optional[Composition]]:
-    """(bicomposition, None) for two compositions, (None, composition) for one."""
+def _pair(args) -> BiComposition:
+    """The pair given on the command line; one composition a of n reads as (a | (n))."""
     top = Composition.parse(args.top)
-    if args.bottom is None:
-        return None, top
-    return BiComposition(top, Composition.parse(args.bottom)), None
+    bottom = Composition((top.total,)) if args.bottom is None else Composition.parse(args.bottom)
+    return BiComposition(top, bottom)
 
 
 def _cmd_index(args) -> int:
-    pair, single = _parse_args_pair(args)
-    value = index_seaweed(pair) if pair is not None else index_parabolic(single)
-    print(value)
+    print(index_seaweed(_pair(args)))
     return 0
 
 
 def _cmd_frobenius(args) -> int:
-    pair, single = _parse_args_pair(args)
-    if pair is not None:
-        frob = index_seaweed(pair) == 0
-    else:
-        frob = index_parabolic(single) == 0
+    frob = index_seaweed(_pair(args)) == 0
     print("frobenius" if frob else "not-frobenius")
     return 0 if frob else 1
 
 
 def _cmd_factorize(args) -> int:
-    pair, single = _parse_args_pair(args)
-    if pair is not None:
-        word = factorize(pair)
-        if word is None:
-            print("not-frobenius")
-            return 1
-        print(str(word))
-        return 0
-    result = factorize_p(single)
-    if result is None:
-        print("not-frobenius")
-        return 1
-    eps, word = result
-    print(f"epsilon={eps} {word}".rstrip())
-    return 0
+    if args.bottom is not None:
+        word = factorize(_pair(args))
+        text = None if word is None else str(word)
+    else:
+        result = factorize_p(Composition.parse(args.top))
+        text = None if result is None else f"epsilon={result[0]} {result[1]}".rstrip()
+    print("not-frobenius" if text is None else text)
+    return 1 if text is None else 0
 
 
 def _cmd_evaluate(args) -> int:
@@ -153,10 +139,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_meander(args) -> int:
-    pair, single = _parse_args_pair(args)
-    if pair is None:
-        pair = BiComposition(single, Composition((single.total,)))
-    _emit(render(build_meander(pair), args.format), args.out)
+    _emit(render(build_meander(_pair(args)), args.format), args.out)
     return 0
 
 

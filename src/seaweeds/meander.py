@@ -148,7 +148,7 @@ def census(g: MeanderGraph) -> ComponentCensus:
 
 
 def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int:
-    """Index from raw part tuples; fast path for the exhaustive oracles."""
+    """Index from raw part tuples; every index query runs through it."""
     cycles, paths = component_counts(partner_array(plus, n), partner_array(minus, n))
     return 2 * cycles + paths - 1
 

@@ -32,7 +32,7 @@ from typing import Iterator, Optional
 
 from .compositions import Composition
 # CollisionError is raised by the shared search; it stays importable from here.
-from .seaweed_words import CollisionError, WSequence, _search  # noqa: F401
+from .seaweed_words import CollisionError, WSequence, _letter_index, _search, _Word  # noqa: F401
 
 
 class FirstLastEqual(ValueError):
@@ -69,11 +69,7 @@ class ParabolicLetter:
         if not tok or tok[0] not in "ST":
             raise ValueError(f"bad letter token {tok!r}; expected e.g. 'S0' or 'T~1'")
         tilde = len(tok) > 1 and tok[1] == "~"
-        try:
-            m = int(tok[2:] if tilde else tok[1:])
-        except ValueError:
-            raise ValueError(f"bad letter token {tok!r}") from None
-        return letter_p(tok[0], tilde, m)
+        return letter_p(tok[0], tilde, _letter_index(tok, tok[2:] if tilde else tok[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -81,27 +77,10 @@ def letter_p(family: str, tilde: bool, m: int) -> ParabolicLetter:
     return ParabolicLetter(family, tilde, m)
 
 
-@dataclass(frozen=True)
-class ParabolicWord:
-    """A word over the parabolic alphabet; the rightmost letter applies first."""
+class ParabolicWord(_Word):
+    """A word over the parabolic alphabet."""
 
-    letters: tuple[ParabolicLetter, ...] = ()
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        return " ".join([l.text for l in self.letters])
-
-    def __mul__(self, other: "ParabolicWord") -> "ParabolicWord":
-        return ParabolicWord(self.letters + other.letters)
-
-    @classmethod
-    def parse(cls, text: str) -> "ParabolicWord":
-        return cls(tuple(ParabolicLetter.parse(tok) for tok in text.split()))
+    _letter = ParabolicLetter
 
 
 IOTA_P = ParabolicWord(())

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .compositions import NULL, BiComposition, Composition, MaybeBiComposition
 
@@ -81,18 +81,19 @@ class SeaweedLetter:
     def __str__(self):
         return self.text
 
-    def barred(self) -> "SeaweedLetter":
-        return letter(self.family, -self.sign, self.m)
-
     @classmethod
     def parse(cls, tok: str) -> "SeaweedLetter":
         if len(tok) < 3 or tok[0] not in "ST" or tok[1] not in "+-":
             raise ValueError(f"bad letter token {tok!r}; expected e.g. 'S+0' or 'T-2'")
-        try:
-            m = int(tok[2:])
-        except ValueError:
-            raise ValueError(f"bad letter token {tok!r}") from None
-        return letter(tok[0], 1 if tok[1] == "+" else -1, m)
+        return letter(tok[0], 1 if tok[1] == "+" else -1, _letter_index(tok, tok[2:]))
+
+
+def _letter_index(tok: str, digits: str) -> int:
+    """The letter index m of ``tok``: ASCII decimal digits only.  ``int``
+    alone would also take a sign, underscores and non-ASCII digits."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad letter token {tok!r}")
+    return int(digits)
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +103,15 @@ def letter(family: str, sign: int, m: int) -> SeaweedLetter:
 
 
 @dataclass(frozen=True)
-class SeaweedWord:
-    """A word eta_1 ... eta_k over the letter alphabet; eta_k applies first."""
+class _Word:
+    """A word eta_1 ... eta_k over one alphabet; eta_k applies first.
 
-    letters: tuple[SeaweedLetter, ...] = ()
+    Subclasses name their letter class; equality and repr are per class,
+    so equal letter tuples over the two alphabets stay distinct words.
+    """
+
+    letters: tuple = ()
+    _letter: ClassVar[type]
 
     def __len__(self):
         return len(self.letters)
@@ -116,18 +122,20 @@ class SeaweedWord:
     def __str__(self):
         return " ".join([l.text for l in self.letters])
 
-    def __mul__(self, other: "SeaweedWord") -> "SeaweedWord":
-        """Concatenation: (v * w)(a) = v(w(a))."""
-        return SeaweedWord(self.letters + other.letters)
-
-    def barred(self) -> "SeaweedWord":
-        """Flip the sign of every letter; an involution."""
-        return SeaweedWord(tuple(l.barred() for l in self.letters))
+    def __mul__(self, other: "_Word") -> "_Word":
+        """Concatenation: (v * w)(a) = v(w(a)); the result has the caller's class."""
+        return type(self)(self.letters + other.letters)
 
     @classmethod
-    def parse(cls, text: str) -> "SeaweedWord":
+    def parse(cls, text: str) -> "_Word":
         """Parse whitespace-separated tokens, leftmost token applied last."""
-        return cls(tuple(SeaweedLetter.parse(tok) for tok in text.split()))
+        return cls(tuple(cls._letter.parse(tok) for tok in text.split()))
+
+
+class SeaweedWord(_Word):
+    """A word over the pair alphabet."""
+
+    _letter = SeaweedLetter
 
 
 IOTA = SeaweedWord(())
@@ -252,8 +260,8 @@ def zeta(r: int, sign: int) -> SeaweedWord:
 
 
 def bar_conjugate(w: SeaweedWord) -> SeaweedWord:
-    """Flip every letter's sign (conjugation by the side swap)."""
-    return w.barred()
+    """Flip every letter's sign (conjugation by the side swap); an involution."""
+    return SeaweedWord(tuple(letter(l.family, -l.sign, l.m) for l in w.letters))
 
 
 @dataclass(frozen=True)
@@ -350,13 +358,18 @@ def factorize(b: BiComposition) -> Optional[SeaweedWord]:
     reproduces ``b``); ending anywhere else means ``b`` is not Frobenius
     and None is returned.
     """
-    plus, minus = b.plus.parts, b.minus.parts
+    letters = _factorize_raw(b.plus.parts, b.minus.parts)
+    return None if letters is None else SeaweedWord(letters)
+
+
+def _factorize_raw(plus, minus) -> Optional[tuple[SeaweedLetter, ...]]:
+    """:func:`factorize` on raw part tuples: the word's letters, or None."""
     collected: list[SeaweedLetter] = []
     while plus[0] != minus[0]:
         plus, minus, l = _reduce_raw(plus, minus)
         collected.append(l)
     if (plus, minus) == _SEED_RAW:
-        return SeaweedWord(tuple(collected))
+        return tuple(collected)
     return None
 
 

@@ -40,7 +40,7 @@ from seaweeds import (
 )
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _apply_raw_p, letter_p
-from seaweeds.seaweed_words import _apply_raw, letter
+from seaweeds.seaweed_words import _apply_raw, _factorize_raw, letter
 
 
 @pytest.fixture(scope="session")
@@ -116,17 +116,15 @@ def test_criterion_4_bijection_round_trip(seaweed_generated_14, parabolic_genera
     for eps, items in parabolic_generated_18.items():
         for w, c in items:
             assert factorize_p(c) == (eps, w)
-    # exact complement against the meander oracle, exhaustively to sum 11
+    # exact complement against the meander oracle, exhaustively to sum 11,
+    # through the raw-tuple core that factorize itself runs on
     for n in range(1, 12):
         comps = list(iter_compositions(n))
         partners = [partner_array(c, n) for c in comps]
-        objs = [Composition(c) for c in comps]
-        for i, ci in enumerate(objs):
-            ti = partners[i]
-            for j, cj in enumerate(objs):
-                cycles, paths = component_counts(ti, partners[j])
-                frob = cycles == 0 and paths == 1
-                assert (factorize(BiComposition(ci, cj)) is not None) == frob
+        for ci, ti in zip(comps, partners):
+            for cj, tj in zip(comps, partners):
+                frob = component_counts(ti, tj) == (0, 1)
+                assert (_factorize_raw(ci, cj) is not None) == frob
     print(
         "PASS criterion 4: factorize inverts generation (sums 14/18) and flags "
         "exactly the non-Frobenius pairs (n<=11)"

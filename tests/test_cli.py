@@ -109,6 +109,11 @@ class TestFactorizeEvaluate:
         code, _, err = run(capsys, "evaluate", "S?3")
         assert code == 2 and err
 
+    def test_evaluate_rejects_pair_token_in_composition_alphabet(self, capsys):
+        assert run(capsys, "evaluate", "--epsilon", "0", "S+0") == (
+            2, "", "error: bad letter token 'S+0'\n"
+        )
+
 
 class TestMeander:
     def test_dot(self, capsys):
@@ -372,6 +377,27 @@ def test_per_kind_output_pinned(capsys, argv, code, digest, err):
     got_code, out, got_err = run(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# exact stdout of the single-composition forms, which complete the input
+# to the pair (a | (n)); recorded before the CLI read one pair for all three
+@pytest.mark.parametrize("argv, code, out", [
+    ("index 2,2", 0, "1\n"),
+    ("index 1,4,4", 0, "0\n"),
+    ("index 5", 0, "4\n"),
+    ("frobenius 1,1", 0, "frobenius\n"),
+    ("frobenius 3", 1, "not-frobenius\n"),
+    ("meander 2,2 --format ascii", 0, "/-\\ /-\\\n1 2 3 4\n  \\-/\n\\-----/\n"),
+    ("meander 1,2 --format ascii", 0, "  /-\\\n1 2 3\n\\---/\n"),
+    ("meander 2,2 --format dot", 0,
+     'graph meander {\n  1;\n  2;\n  3;\n  4;\n  1 -- 2 [label="top"];\n'
+     '  3 -- 4 [label="top"];\n  1 -- 4 [label="bottom"];\n  2 -- 3 [label="bottom"];\n}\n'),
+    ("meander 1,2 --format dot", 0,
+     'graph meander {\n  1;\n  2;\n  3;\n  2 -- 3 [label="top"];\n'
+     '  1 -- 3 [label="bottom"];\n}\n'),
+])
+def test_single_composition_output_pinned(capsys, argv, code, out):
+    assert run(capsys, *argv.split()) == (code, out, "")
 
 
 class TestDeepWords:

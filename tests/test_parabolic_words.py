@@ -23,7 +23,7 @@ from seaweeds import (
     w_sequence_p,
 )
 from seaweeds.parabolic_words import _child_moves_p, letter_p, seed
-from seaweeds.seaweed_words import SeaweedWord
+from seaweeds.seaweed_words import IOTA, SeaweedWord
 
 V_WORD = ParabolicWord.parse("T~0 S~0 S0")
 
@@ -37,7 +37,7 @@ class TestLetters:
         for tok in ["S0", "S~0", "T1", "T~12"]:
             assert ParabolicLetter.parse(tok).token() == tok
 
-    @pytest.mark.parametrize("bad", ["", "X0", "S~", "S-1", "T~x"])
+    @pytest.mark.parametrize("bad", ["", "X0", "S~", "S-1", "T~x", "S+0", "S-0", "T~+2"])
     def test_bad_tokens(self, bad):
         with pytest.raises(ValueError):
             ParabolicLetter.parse(bad)
@@ -46,6 +46,15 @@ class TestLetters:
         assert seed(0) == SEED_EVEN and seed(1) == SEED_ODD
         with pytest.raises(ValueError):
             seed(2)
+
+
+class TestWords:
+    def test_concatenation_keeps_the_class(self):
+        w = ParabolicWord.parse("S0") * ParabolicWord.parse("T~1")
+        assert type(w) is ParabolicWord and str(w) == "S0 T~1"
+
+    def test_empty_words_of_the_two_alphabets_differ(self):
+        assert IOTA_P != IOTA
 
 
 class TestApply:

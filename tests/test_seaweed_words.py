@@ -51,7 +51,8 @@ class TestLetters:
         for tok in ["S+0", "S-3", "T+1", "T-0", "S+12"]:
             assert SeaweedLetter.parse(tok).token() == tok
 
-    @pytest.mark.parametrize("bad", ["", "S0", "U+1", "S+", "S+x", "s+1", "T*2"])
+    @pytest.mark.parametrize("bad", ["", "S0", "U+1", "S+", "S+x", "s+1", "T*2",
+                                     "S++1", "S+1_0", "S+\u0663", "S+-1"])
     def test_bad_tokens(self, bad):
         with pytest.raises(ValueError):
             SeaweedLetter.parse(bad)
