@@ -1,18 +1,28 @@
 """Exact count tables, deficiency sequences, and polynomial tails.
 
-Two independent routes produce the tables F(n, p) = number of Frobenius
-objects with sum n and p parts (total parts, for pairs):
+Three routes count F(n, p) = number of Frobenius objects with sum n and
+p parts (total parts, for pairs):
 
 * ``brute_table`` enumerates the compositions (or pairs) with exactly two
   odd parts in total, the only ones whose meander graph can be one path,
-  and walks each graph to see whether it is;
-* ``generated_table`` tallies the free-monoid generation, straight from
-  the raw search nodes.
+  and walks each graph to see whether it is (``table --method brute``);
+* ``generated_table`` and ``deficiency_table`` tally the free-monoid
+  generation, straight from the raw search nodes, in full or pruned to
+  deficiency <= t (``table --method generated|deficiency`` and
+  ``generate``, which stream the same nodes);
+* ``diagonal_counts`` counts one deficiency diagonal without enumerating
+  it: by the truncation lemma, a node at deficiency d under bound t has
+  a subtree that reads only its first t - d + 1 parts per side, so the
+  pruned search collapses to a sum-by-sum count over truncated states
+  (``fit`` and ``verify``, through ``deficiency_sequence``).
 
 Their agreement on the overlap is the central correctness check of this
-package.  Three table kinds exist, each on the sums unit*k + eps for
-k >= 1: ``seaweed`` (pairs, unit 1, eps 0), ``parabolic-even`` (unit 2,
-eps 0) and ``parabolic-odd`` (unit 2, eps 1; the sum-1 composition stays
+package.  Only the search raises :class:`CollisionError` on a repeated
+object; the diagonal count merges truncated states by design.
+
+Three table kinds exist, each on the sums unit*k + eps for k >= 1:
+``seaweed`` (pairs, unit 1, eps 0), ``parabolic-even`` (unit 2, eps 0)
+and ``parabolic-odd`` (unit 2, eps 1; the sum-1 composition stays
 outside the generation scheme).  For a fixed deficiency t, the diagonal
 counts F(unit*k + eps, k+1-t), as a function of k, eventually agree with
 a polynomial of degree floor(t/2).  The published closed forms are::
@@ -32,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 # iter_compositions, component_counts and the generate_* names are not called
 # here; they stay bound because perfbench/tracing.py wraps this module's
@@ -40,9 +50,11 @@ from typing import Iterable, Optional, Sequence
 from .compositions import iter_compositions, iter_compositions_odd  # noqa: F401
 from .meander import component_counts, partner_array, path_size  # noqa: F401
 from .parabolic_words import (  # noqa: F401
-    composition_nodes, generate_deficiency_p, generate_frobenius_p,
+    _SEEDS_RAW, _child_moves_p, composition_nodes, generate_deficiency_p, generate_frobenius_p,
 )
-from .seaweed_words import generate_deficiency, generate_frobenius, pair_nodes  # noqa: F401
+from .seaweed_words import (  # noqa: F401
+    _SEED_RAW, _check_bounds, _child_moves, generate_deficiency, generate_frobenius, pair_nodes,
+)
 
 SEAWEED_BRUTE_BUDGET = 14
 PARABOLIC_BRUTE_BUDGET = 20
@@ -79,6 +91,27 @@ class _Kind:
             return {k: [(c, len(c)) for c in iter_compositions_odd(n, k)]
                     for k in range(n % 2, 3, 2)}
         return {n % 2: [((n,), 0)]}
+
+    @property
+    def first_sum(self) -> int:
+        """The smallest sum counted: 1, 2 and 3; the odd seed (1) is not counted."""
+        return self.unit + self.offset
+
+    def root(self) -> tuple[tuple, int, Callable]:
+        """(seed state, its sum, child moves) of the kind's search."""
+        if self.epsilon is None:
+            return _SEED_RAW, 1, _child_moves
+        return (_SEEDS_RAW[self.epsilon],), 2 - self.epsilon, _child_moves_p
+
+    def truncate(self, state: tuple, keep: int) -> tuple:
+        """The parts of ``state`` a subtree can still read: the first ``keep``
+        of each side of a pair, the first and last ``keep`` of a composition
+        (a tilde letter reverses it)."""
+        if self.epsilon is None:
+            plus, minus = state
+            return plus[:keep], minus[:keep]
+        (a,) = state
+        return state if len(a) <= 2 * keep else (a[:keep] + a[-keep:],)
 
     def sizes(self, n_max: int, t: Optional[int]) -> Iterable[tuple[int, int]]:
         """(sum, parts) of every raw search node; no objects are built."""
@@ -155,7 +188,7 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
             f"pass budget_override to force"
         )
     entries: dict[tuple[int, int], int] = {}
-    for n in range(spec.unit + spec.offset, n_max + 1, spec.unit):
+    for n in range(spec.first_sum, n_max + 1, spec.unit):
         for k, group in spec.bottoms(n).items():
             bottoms = [(partner_array(c, n), parts) for c, parts in group]
             for top in iter_compositions_odd(n, 2 - k):
@@ -184,6 +217,45 @@ def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
     return _tally(kind, "deficiency", n_max, t)
 
 
+def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, int]:
+    """Objects of deficiency exactly t, by sum n <= n_max, counted without
+    enumerating them.
+
+    Truncation lemma: a node at deficiency d < t has a subtree that reads
+    no more than the first t - d + 1 parts of each side of a pair, or the
+    first and last t - d + 1 parts of a composition (a tilde letter
+    reverses it).  An S letter reads the first part only; a T letter
+    reads the first two and raises the deficiency by at least 1, so at
+    most t - d of them follow, and the j-th one on a side reads the part
+    at depth j.  At d = t no T letter fits, and one part per side is kept.
+
+    Nodes are therefore kept truncated and merged, with multiplicities,
+    per (truncated state, deficiency).  Each level of equal sum is popped
+    in increasing order and pushes its children, with the budgets and
+    deficiency steps of the pruned search, into the level of their sum.
+    The count reads the deficiency only: it equals n + 1 - p for pairs
+    and k + 1 - p for compositions of sum 2k + eps.
+    """
+    _check_bounds(n_max, t)
+    spec = _kind(kind)
+    unit, first = spec.unit, spec.first_sum
+    start, total, moves = spec.root()
+    levels: dict[int, dict[tuple, int]] = {total: {(start, 0): 1}}
+    counts: dict[int, int] = {}
+    for n in range(total, n_max + 1, unit):
+        for (state, deficit), mult in levels.pop(n, {}).items():
+            if deficit == t and n >= first:
+                counts[n] = counts.get(n, 0) + mult
+            for move in moves(*state, min(n_max - n, unit * (t - deficit + 1))):
+                inc = move[-1]
+                child_deficit = deficit + inc // unit - 1 + (move[0].family == "T")
+                if child_deficit <= t:
+                    key = (spec.truncate(move[1:-1], t - child_deficit + 1), child_deficit)
+                    level = levels.setdefault(n + inc, {})
+                    level[key] = level.get(key, 0) + mult
+    return counts
+
+
 def deficiency_sequence(kind: str, t: int, n_range: range) -> list[int]:
     """Counts along the deficiency-t diagonal, indexed by ``n_range``.
 
@@ -194,8 +266,8 @@ def deficiency_sequence(kind: str, t: int, n_range: range) -> list[int]:
     spec = _kind(kind)
     if len(n_range) == 0:
         return []
-    table = deficiency_table(kind, t, spec.unit * max(n_range) + spec.offset)
-    return [table.count(spec.unit * k + spec.offset, k + 1 - t) for k in n_range]
+    counts = diagonal_counts(kind, t, spec.unit * max(n_range) + spec.offset)
+    return [counts.get(spec.unit * k + spec.offset, 0) for k in n_range]
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,10 @@ class SeaweedLetter:
 
 
 def _letter_index(tok: str, digits: str) -> int:
-    """The letter index m of ``tok``: ASCII decimal digits only.  ``int``
-    alone would also take a sign, underscores and non-ASCII digits."""
-    if not (digits.isascii() and digits.isdigit()):
+    """The letter index m of ``tok``: ASCII decimal digits in canonical form,
+    with no leading zero, so each letter has one token.  ``int`` alone would
+    also take a sign, underscores, non-ASCII digits and ``007``."""
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
         raise ValueError(f"bad letter token {tok!r}")
     return int(digits)
 
@@ -414,6 +415,14 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, tu
             )
 
 
+def _check_bounds(n_max: int, t: Optional[int]) -> None:
+    """Reject a negative deficiency bound or a sum window below 1."""
+    if t is not None and t < 0:
+        raise ValueError(f"deficiency bound must be >= 0, got {t}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
 def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
             unit: int = 1, emit_start: bool = True) -> Iterator[tuple]:
     """Pre-order depth-first closure of a raw state under operator letters.
@@ -438,10 +447,7 @@ def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
     far; a repeat raises :class:`CollisionError`.  The stack is explicit,
     so the depth of the walk is not limited by the interpreter.
     """
-    if t is not None and t < 0:
-        raise ValueError(f"deficiency bound must be >= 0, got {t}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_bounds(n_max, t)
     if total > n_max:
         return
     node = (start, total, 0, ())

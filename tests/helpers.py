@@ -12,6 +12,7 @@ import os
 import random
 
 from seaweeds import BiComposition, Composition
+from seaweeds.counting import _kind
 from seaweeds.parabolic_words import ParabolicWord, _apply_raw_p, letter_p
 from seaweeds.seaweed_words import SeaweedWord, _apply_raw, letter
 
@@ -137,3 +138,10 @@ def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int
             cur = top[cur] if use_top else bot[cur]
             use_top = not use_top
     return cycles, paths
+
+
+def diagonal(table, t: int, k_max: int) -> list[int]:
+    """The deficiency-t diagonal F(unit*k + eps, k + 1 - t) of a count table,
+    at k = 1..k_max."""
+    spec = _kind(table.kind)
+    return [table.count(spec.unit * k + spec.offset, k + 1 - t) for k in range(1, k_max + 1)]

@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from helpers import (
+    diagonal,
     make_rng,
     random_parabolic_instance,
     random_seaweed_instance,
@@ -18,6 +19,8 @@ from seaweeds import (
     BiComposition,
     Composition,
     brute_table,
+    deficiency_sequence,
+    deficiency_table,
     evaluate,
     evaluate_p,
     factorize,
@@ -38,6 +41,7 @@ from seaweeds import (
     word_stats,
     zeta,
 )
+from seaweeds.counting import _kind
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _apply_raw_p, letter_p
 from seaweeds.seaweed_words import _apply_raw, _factorize_raw, letter
@@ -367,4 +371,24 @@ def test_criterion_10_unit_step_law_suite():
     print(
         f"PASS criterion 10: unit-step laws hold on {count} pair words and "
         f"{pcount} composition words (sums <= 12), zero counterexamples"
+    )
+
+
+def test_criterion_11_diagonal_counts_match_both_oracles(seaweed_brute_14, parabolic_brute_20):
+    # route 2: the pruned search, on the default verify windows
+    for kind, k_max in (("seaweed", 40), ("parabolic-even", 30), ("parabolic-odd", 30)):
+        spec = _kind(kind)
+        table = deficiency_table(kind, 4, spec.unit * k_max + spec.offset)
+        for t in range(5):
+            seq = deficiency_sequence(kind, t, range(1, k_max + 1))
+            assert seq == diagonal(table, t, k_max), (kind, t)
+    # route 1: the meander census, on its budgets
+    for table, k_max in ((seaweed_brute_14, 14), (parabolic_brute_20[0], 10),
+                         (parabolic_brute_20[1], 9)):
+        for t in range(9):
+            seq = deficiency_sequence(table.kind, t, range(1, k_max + 1))
+            assert seq == diagonal(table, t, k_max), (table.kind, t)
+    print(
+        "PASS criterion 11: truncated-state diagonal counts equal the pruned search "
+        "(t<=4; seaweed n<=40, parabolic k<=30) and the census (t<=8)"
     )

@@ -114,6 +114,21 @@ class TestFactorizeEvaluate:
             2, "", "error: bad letter token 'S+0'\n"
         )
 
+    @pytest.mark.parametrize("argv, token", [
+        (("S+007",), "S+007"),
+        (("S+0 T-00",), "T-00"),
+        (("--epsilon", "1", "S~01"), "S~01"),
+        (("--epsilon", "0", "S0 T010"), "T010"),
+    ])
+    def test_evaluate_rejects_leading_zeros(self, capsys, argv, token):
+        assert run(capsys, "evaluate", *argv) == (
+            2, "", f"error: bad letter token {token!r}\n"
+        )
+
+    def test_evaluate_accepts_zero_and_multidigit_indices(self, capsys):
+        assert run(capsys, "evaluate", "S+10 S-0") == (0, "12,1|11,2\n", "")
+        assert run(capsys, "evaluate", "--epsilon", "1", "S~10 S0") == (0, "22,1,24\n", "")
+
 
 class TestMeander:
     def test_dot(self, capsys):
@@ -333,6 +348,11 @@ class TestUsage:
         code, out, err = run(capsys, "verify", flag, n_max)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be >= 1, got {n_max}\n"
+
+    def test_fit_negative_t_exits_2(self, capsys):
+        assert run(capsys, "fit", "--kind", "seaweed", "--t", "-1") == (
+            2, "", "error: deficiency bound must be >= 0, got -1\n"
+        )
 
     def test_no_global_seed_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

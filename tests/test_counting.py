@@ -103,6 +103,10 @@ class TestDeficiency:
     def test_empty_range(self):
         assert deficiency_sequence("seaweed", 0, range(1, 1)) == []
 
+    def test_deep_window_counts_without_recursion(self):
+        seq = deficiency_sequence("seaweed", 0, range(1, 3001))
+        assert seq[0] == 1 and set(seq[1:]) == {2}
+
 
 class TestFitPolynomial:
     def test_constant_tail(self):
