@@ -10,11 +10,14 @@ p parts (total parts, for pairs):
   generation, straight from the raw search nodes, in full or pruned to
   deficiency <= t (``table --method generated|deficiency`` and
   ``generate``, which stream the same nodes);
-* ``diagonal_counts`` counts one deficiency diagonal without enumerating
-  it: by the truncation lemma, a node at deficiency d under bound t has
-  a subtree that reads only its first t - d + 1 parts per side, so the
-  pruned search collapses to a sum-by-sum count over truncated states
-  (``fit`` and ``verify``, through ``deficiency_sequence``).
+* ``diagonal_counts`` counts the deficiency diagonals without
+  enumerating them: by the truncation lemma, a node at deficiency d
+  under bound t has a subtree that reads only its first t - d + 1 parts
+  per side, so the pruned search collapses to a sum-by-sum count over
+  truncated states.  One count with bound t gives every diagonal d <= t,
+  and each truncated state lists its children once (``fit`` and
+  ``verify``, through ``deficiency_sequence``; ``verify`` runs one count
+  per kind).
 
 Their agreement on the overlap is the central correctness check of this
 package.  Only the search raises :class:`CollisionError` on a repeated
@@ -39,8 +42,9 @@ runs all nine published cases end to end.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -91,6 +95,14 @@ class _Kind:
             return {k: [(c, len(c)) for c in iter_compositions_odd(n, k)]
                     for k in range(n % 2, 3, 2)}
         return {n % 2: [((n,), 0)]}
+
+    def sum_at(self, k: int) -> int:
+        """The sum unit*k + eps at index k of a diagonal."""
+        return self.unit * k + self.offset
+
+    def sequence(self, diagonal: dict[int, int], n_range: range) -> list[int]:
+        """One diagonal's counts by sum, read at the indices ``n_range``."""
+        return [diagonal.get(self.sum_at(k), 0) for k in n_range]
 
     @property
     def first_sum(self) -> int:
@@ -217,9 +229,9 @@ def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
     return _tally(kind, "deficiency", n_max, t)
 
 
-def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, int]:
-    """Objects of deficiency exactly t, by sum n <= n_max, counted without
-    enumerating them.
+def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
+    """Objects of every deficiency d <= t, by d and then by sum n <= n_max,
+    counted without enumerating them; a diagonal with no object is absent.
 
     Truncation lemma: a node at deficiency d < t has a subtree that reads
     no more than the first t - d + 1 parts of each side of a pair, or the
@@ -233,6 +245,13 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, int]:
     per (truncated state, deficiency).  Each level of equal sum is popped
     in increasing order and pushes its children, with the budgets and
     deficiency steps of the pruned search, into the level of their sum.
+    The deficiency never decreases, so every node of deficiency d <= t is
+    visited under the bound t, and one count yields every diagonal up to
+    t.  A node's children are listed once, on its first visit, when its
+    budget is the largest it will get; at every later sum the list is
+    reused without the children whose increment no longer fits, which
+    are exactly the moves the smaller budget drops.
+
     The count reads the deficiency only: it equals n + 1 - p for pairs
     and k + 1 - p for compositions of sum 2k + eps.
     """
@@ -241,16 +260,26 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, int]:
     unit, first = spec.unit, spec.first_sum
     start, total, moves = spec.root()
     levels: dict[int, dict[tuple, int]] = {total: {(start, 0): 1}}
-    counts: dict[int, int] = {}
+    children: dict[tuple, list[tuple[int, tuple]]] = {}
+    counts: dict[int, dict[int, int]] = {}
     for n in range(total, n_max + 1, unit):
-        for (state, deficit), mult in levels.pop(n, {}).items():
-            if deficit == t and n >= first:
-                counts[n] = counts.get(n, 0) + mult
-            for move in moves(*state, min(n_max - n, unit * (t - deficit + 1))):
-                inc = move[-1]
-                child_deficit = deficit + inc // unit - 1 + (move[0].family == "T")
-                if child_deficit <= t:
-                    key = (spec.truncate(move[1:-1], t - child_deficit + 1), child_deficit)
+        room = n_max - n
+        for node, mult in levels.pop(n, {}).items():
+            state, deficit = node
+            if n >= first:
+                diagonal = counts.setdefault(deficit, {})
+                diagonal[n] = diagonal.get(n, 0) + mult
+            kids = children.get(node)
+            if kids is None:
+                kids = children[node] = []
+                for move in moves(*state, min(room, unit * (t - deficit + 1))):
+                    inc = move[-1]
+                    child_deficit = deficit + inc // unit - 1 + (move[0].family == "T")
+                    if child_deficit <= t:
+                        keep = t - child_deficit + 1
+                        kids.append((inc, (spec.truncate(move[1:-1], keep), child_deficit)))
+            for inc, key in kids:
+                if inc <= room:
                     level = levels.setdefault(n + inc, {})
                     level[key] = level.get(key, 0) + mult
     return counts
@@ -266,8 +295,8 @@ def deficiency_sequence(kind: str, t: int, n_range: range) -> list[int]:
     spec = _kind(kind)
     if len(n_range) == 0:
         return []
-    counts = diagonal_counts(kind, t, spec.unit * max(n_range) + spec.offset)
-    return [counts.get(spec.unit * k + spec.offset, 0) for k in n_range]
+    counts = diagonal_counts(kind, t, spec.sum_at(max(n_range)))
+    return spec.sequence(counts.get(t, {}), n_range)
 
 
 @dataclass(frozen=True)
@@ -339,14 +368,15 @@ def fit_polynomial(
     order = d + 1
     guard = max(5, t + 2)
     values = [int(v) for v in seq]
-    diffs = values
-    for _ in range(order):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    if len(diffs) < guard:
+    # checked before differencing, which would take order passes
+    if len(values) < order + guard:
         raise UnstableSequence(
             f"window of {len(values)} values is too short to certify a "
             f"degree-{d} tail (need {order + guard} values)"
         )
+    diffs = values
+    for _ in range(order):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if any(diffs[-guard:]):
         raise UnstableSequence(
             f"order-{order} differences still nonzero on the last {guard} entries"
@@ -374,21 +404,26 @@ def fit_polynomial(
 
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    fit = PolyFit(
-        t=t,
-        degree=len(coeffs) - 1,
-        coefficients=tuple(coeffs),
-        stable_from=n_hi,
-        window=(n_start, n_hi),
-        epsilon=epsilon,
-    )
+    # scan back from the window's end in integers: scale * poly == scale * value
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
     stable_from = n_hi
     for idx in range(len(values) - 1, -1, -1):
         n = n_start + idx
-        if fit.evaluate(n) != values[idx]:
+        acc = 0
+        for c in scaled:
+            acc = acc * n + c
+        if acc != values[idx] * scale:
             break
         stable_from = n
-    return replace(fit, stable_from=stable_from)
+    return PolyFit(
+        t=t,
+        degree=len(coeffs) - 1,
+        coefficients=tuple(coeffs),
+        stable_from=stable_from,
+        window=(n_start, n_hi),
+        epsilon=epsilon,
+    )
 
 
 EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
@@ -450,10 +485,22 @@ def verify_published_polynomials(
     """Fit all nine published diagonal polynomials and compare exactly.
 
     Windows default to n = 1..40 (seaweed sums) and k = 1..30 (parabolic
-    half-variable, i.e. sums up to 60/61).  A case matches when the fit
-    is stable and its exact coefficients equal the published ones; a
-    fitting failure is reported as a mismatch, never an exception.
+    half-variable, i.e. sums up to 60/61).  One diagonal count per kind,
+    up to the largest published t of that kind, gives every sequence.  A
+    case matches when the fit is stable and its exact coefficients equal
+    the published ones; a fitting failure is reported as a mismatch,
+    never an exception.
     """
+    top: dict[str, int] = {}
+    for kind, t in EXPECTED_COEFFS:
+        top[kind] = max(t, top.get(kind, t))
+    sequences: dict[tuple[str, int], list[int]] = {}
+    for kind, t in top.items():
+        spec = _kind(kind)
+        window = range(1, (seaweed_n_max if spec.epsilon is None else parabolic_n_max) + 1)
+        counts = diagonal_counts(kind, t, spec.sum_at(window[-1])) if window else {}
+        for d in range(t + 1):
+            sequences[kind, d] = spec.sequence(counts.get(d, {}), window)
     rows = []
     for name, cases in _REPORT_ROWS:
         details = []
@@ -461,8 +508,7 @@ def verify_published_polynomials(
         matched = True
         for kind, t in cases:
             eps = _kind(kind).epsilon
-            n_max = seaweed_n_max if eps is None else parabolic_n_max
-            seq = deficiency_sequence(kind, t, range(1, n_max + 1))
+            seq = sequences[kind, t]
             expected = tuple(Fraction(c) for c in EXPECTED_COEFFS[(kind, t)])
             try:
                 fit = fit_polynomial(seq, t, n_start=1, epsilon=eps)

@@ -314,6 +314,15 @@ class TestFit:
         code, out, err = run(capsys, "fit", "--kind", "seaweed", "--t", "4", "--n-max", "9")
         assert code == 1 and out == "" and "unstable" in err
 
+    @pytest.mark.parametrize("t", [100000, 10**9])
+    def test_huge_t_on_a_tiny_window_exits_1_at_once(self, capsys, t):
+        # the count allocates nothing of size t and lists children within the
+        # room left; the window check comes before any differencing pass
+        assert run(capsys, "fit", "--kind", "seaweed", "--t", str(t), "--n-max", "3") == (
+            1, "", f"unstable: window of 3 values is too short to certify a degree-{t // 2} "
+                   f"tail (need {3 * (t // 2) + 3} values)\n"
+        )
+
 
 class TestVerify:
     def test_small_windows_all_match(self, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import seaweeds.counting as counting
+from helpers import make_rng, random_composition
 from seaweeds import (
     BudgetExceeded,
     CountTable,
@@ -14,6 +15,8 @@ from seaweeds import (
     generated_table,
     poly_str,
 )
+from seaweeds.parabolic_words import _child_moves_p
+from seaweeds.seaweed_words import _child_moves
 
 # frozen from an independent endpoint-walk census (see tests/helpers.py)
 SEAWEED_TOTALS = {1: 1, 2: 2, 3: 6, 4: 14, 5: 34, 6: 68, 7: 150, 8: 296}
@@ -108,6 +111,66 @@ class TestDeficiency:
         assert seq[0] == 1 and set(seq[1:]) == {2}
 
 
+class TestDiagonalCounts:
+    """One truncated-state count gives every diagonal d <= t; each node's
+    children are listed once and reused at later sums under a smaller budget."""
+
+    @pytest.mark.parametrize("moves,sides", [(_child_moves, 2), (_child_moves_p, 1)])
+    def test_smaller_budget_keeps_the_fitting_moves_in_order(self, moves, sides):
+        rng = make_rng()
+        for _ in range(300):
+            state = [random_composition(rng, rng.randint(1, 12)) for _ in range(sides)]
+            b1 = rng.randint(0, 40)
+            b2 = b1 + rng.randint(1, 40)
+            wide = list(moves(*state, b2))
+            assert list(moves(*state, b1)) == [move for move in wide if move[-1] <= b1]
+            assert all(move[-1] <= b2 for move in wide)
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_every_window_gives_the_pruned_search_diagonals(self, kind):
+        spec = counting._kind(kind)
+        table = deficiency_table(kind, 4, 30)
+        for n_max in range(1, 31):
+            expected: dict[int, dict[int, int]] = {}
+            for (n, p), c in table.entries.items():
+                if n <= n_max:
+                    expected.setdefault((n - spec.offset) // spec.unit + 1 - p, {})[n] = c
+            assert counting.diagonal_counts(kind, 4, n_max) == expected, (kind, n_max)
+
+    @pytest.mark.parametrize("kind,name,moves,n_max", [
+        ("seaweed", "_child_moves", _child_moves, 12),
+        ("parabolic-even", "_child_moves_p", _child_moves_p, 24),
+        ("parabolic-odd", "_child_moves_p", _child_moves_p, 23),
+    ])
+    def test_expansions_ask_for_the_room_left_at_most(self, monkeypatch, kind, name, moves,
+                                                      n_max):
+        # t is far above n_max, so no state is truncated and its sum is n;
+        # the recorder fails at once, before a budget of ~t could be listed
+        budgets = []
+
+        def recorder(*args):
+            *state, budget = args
+            assert budget <= n_max - sum(state[0]), (state, budget)
+            budgets.append(budget)
+            return moves(*args)
+
+        monkeypatch.setattr(counting, name, recorder)
+        counting.diagonal_counts(kind, 10**6, n_max)
+        assert budgets
+
+    @pytest.mark.parametrize("kind,t,expansions", [
+        ("seaweed", 4, 465), ("parabolic-even", 1, 17), ("parabolic-odd", 2, 45),
+    ])
+    def test_each_truncated_state_expands_once(self, monkeypatch, kind, t, expansions):
+        name = "_child_moves" if kind == "seaweed" else "_child_moves_p"
+        moves = getattr(counting, name)
+        for n_max in (40, 120):
+            calls = []
+            monkeypatch.setattr(counting, name, lambda *args: calls.append(args) or moves(*args))
+            counting.diagonal_counts(kind, t, n_max)
+            assert len(calls) == expansions, (kind, n_max)
+
+
 class TestFitPolynomial:
     def test_constant_tail(self):
         fit = fit_polynomial([7, 3, 2, 2, 2, 2, 2, 2], t=0, n_start=1)
@@ -131,6 +194,17 @@ class TestFitPolynomial:
         seq = [int(poly(n)) for n in range(1, 14)]
         fit = fit_polynomial(seq, t=4, n_start=1)
         assert fit.coefficients == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+
+    def test_stable_from_equals_the_exact_evaluation(self):
+        poly = lambda n: Fraction(n**4 + 166 * n**3 - 3529 * n**2 + 16274 * n, 12) + 1888
+        seq = [int(poly(n)) for n in range(1, 30)]
+        for bad in range(1, 10):
+            noisy = seq[:]
+            noisy[bad - 1] += 1
+            fit = fit_polynomial(noisy, t=8, n_start=1)
+            assert fit.stable_from == bad + 1
+            assert all(fit.evaluate(n) == noisy[n - 1] for n in range(fit.stable_from, 30))
+            assert fit.evaluate(bad) != noisy[bad - 1]
 
     def test_degree_collapse_is_reported(self):
         fit = fit_polynomial([4] * 12, t=2, n_start=1)
