@@ -34,15 +34,17 @@ a polynomial of degree floor(t/2).  The published closed forms are::
     parabolic  (eps,t):  (0,0) and (1,0): 2,   (0,1): 12,
                          (1,1): 6,   (1,2): 2T+12
 
-``fit_polynomial`` detects the stable tail with integer forward
-differences, reconstructs the polynomial in exact rational arithmetic,
-and reports from which n onward it matches.  ``verify_published_polynomials``
-runs all nine published cases end to end.
+``fit_polynomial`` reads everything off one table of integer forward
+differences: the vanishing of the order floor(t/2) + 1 differences on
+the window's end certifies the tail, the lower differences at the first
+of the last floor(t/2) + 1 values give the polynomial in Newton form
+(expanded to exact rational monomial coefficients), and the last nonzero
+top-order difference marks from which n onward it matches.
+``verify_published_polynomials`` runs all nine published cases end to end.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -358,11 +360,16 @@ def fit_polynomial(
     """Detect and reconstruct the eventual polynomial of a count sequence.
 
     The sequence must hold counts at consecutive indices starting at
-    ``n_start``.  Stability requires the forward differences of order
-    floor(t/2) + 1 to vanish on the last max(5, t+2) entries of the
-    difference sequence; otherwise :class:`UnstableSequence` is raised.
-    The polynomial (degree <= floor(t/2)) is interpolated through the
-    tail in Newton form and converted to exact monomial coefficients.
+    ``n_start``.  With d = floor(t/2), stability requires the forward
+    differences of order d + 1 to vanish on the last max(5, t+2) entries
+    of the difference sequence; otherwise :class:`UnstableSequence` is
+    raised.  The same d + 1 passes give the polynomial: with x0 the first
+    of the last d + 1 indices and heads[k] the k-th difference at x0,
+    P(x) = sum_k heads[k] * binomial(x - x0, k) (forward-difference Newton
+    form), expanded to exact monomial coefficients.  ``stable_from`` is
+    one past the last nonzero order-(d + 1) difference, or ``n_start`` if
+    none is nonzero: a zero difference at j, with the d + 1 values after
+    j on P, puts the value at j on P, and a nonzero one puts it off P.
     """
     d = t // 2
     order = d + 1
@@ -374,54 +381,32 @@ def fit_polynomial(
             f"window of {len(values)} values is too short to certify a "
             f"degree-{d} tail (need {order + guard} values)"
         )
+    x0 = len(values) - order  # heads[k]: the k-th difference at x0
+    heads = []
     diffs = values
     for _ in range(order):
+        heads.append(diffs[x0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if any(diffs[-guard:]):
         raise UnstableSequence(
             f"order-{order} differences still nonzero on the last {guard} entries"
         )
-
-    n_hi = n_start + len(values) - 1
-    nodes = list(range(n_hi - d, n_hi + 1))
-    ys = [Fraction(v) for v in values[-(d + 1):]]
-    # divided differences over the integer nodes
-    dd = ys[:]
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
-    # Newton form -> monomial coefficients
-    coeffs = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)]  # product of (x - node_j), expanded
-    for i in range(d + 1):
-        for j, b in enumerate(basis):
-            coeffs[j] += dd[i] * b
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for j, b in enumerate(basis):
-            new_basis[j] -= b * nodes[i]
-            new_basis[j + 1] += b
-        basis = new_basis
-
+    last_nonzero = next((j for j in range(len(diffs) - 1, -1, -1) if diffs[j]), -1)
+    stable_from = n_start + last_nonzero + 1
+    # Newton form, expanded Horner-style: times (x - x0 - k) / (k + 1), plus heads[k]
+    coeffs = [Fraction(heads[d])]
+    for k in range(d - 1, -1, -1):
+        root = n_start + x0 + k
+        coeffs = [(hi - root * lo) / (k + 1) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += heads[k]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    # scan back from the window's end in integers: scale * poly == scale * value
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
-    stable_from = n_hi
-    for idx in range(len(values) - 1, -1, -1):
-        n = n_start + idx
-        acc = 0
-        for c in scaled:
-            acc = acc * n + c
-        if acc != values[idx] * scale:
-            break
-        stable_from = n
     return PolyFit(
         t=t,
         degree=len(coeffs) - 1,
         coefficients=tuple(coeffs),
         stable_from=stable_from,
-        window=(n_start, n_hi),
+        window=(n_start, n_start + len(values) - 1),
         epsilon=epsilon,
     )
 

@@ -24,6 +24,7 @@ Frobenius means index zero, equivalently the graph is one single path.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .compositions import BiComposition, Composition
@@ -34,7 +35,10 @@ def partner_array(parts, n: int) -> tuple[int, ...]:
 
     Entry -1 marks a bare vertex.  This flat form is what the exhaustive
     counting loops consume; ``build_meander`` dresses it up as arc sets.
+    A sum above ``sys.maxsize`` is rejected before anything is allocated.
     """
+    if n > sys.maxsize:
+        raise ValueError(f"sum {n} exceeds the largest supported sum {sys.maxsize}")
     nbr = [-1] * n
     lo = 0
     for part in parts:

@@ -190,23 +190,18 @@ def word_stats(w: SeaweedWord) -> WordStats:
 
 
 def _apply_raw(family: str, sign: int, m: int, plus, minus):
-    """Letter action on raw part tuples; None encodes the null element."""
-    if sign == 1:
-        if family == "S":
-            return ((m + 2) * plus[0],) + plus[1:], ((m + 1) * plus[0],) + minus
-        if len(plus) < 2:
-            return None
-        return (
-            ((m + 1) * plus[0] + (m + 2) * plus[1],) + plus[2:],
-            (m * plus[0] + (m + 1) * plus[1],) + minus,
-        )
+    """Letter action on raw part tuples; None encodes the null element.
+    A minus letter is the plus letter on swapped sides."""
+    if sign == -1:
+        raw = _apply_raw(family, 1, m, minus, plus)
+        return None if raw is None else (raw[1], raw[0])
     if family == "S":
-        return ((m + 1) * minus[0],) + plus, ((m + 2) * minus[0],) + minus[1:]
-    if len(minus) < 2:
+        return ((m + 2) * plus[0],) + plus[1:], ((m + 1) * plus[0],) + minus
+    if len(plus) < 2:
         return None
     return (
-        (m * minus[0] + (m + 1) * minus[1],) + plus,
-        ((m + 1) * minus[0] + (m + 2) * minus[1],) + minus[2:],
+        ((m + 1) * plus[0] + (m + 2) * plus[1],) + plus[2:],
+        (m * plus[0] + (m + 1) * plus[1],) + minus,
     )
 
 

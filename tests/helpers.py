@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random builders and a reference census.
+"""Shared test utilities: seeded random builders, a reference census and a
+reference polynomial fit.
 
 The reference census here is deliberately independent of the package's
 union-find implementation: it walks components from their endpoints,
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 
 from seaweeds import BiComposition, Composition
 from seaweeds.counting import _kind
@@ -145,3 +147,49 @@ def diagonal(table, t: int, k_max: int) -> list[int]:
     at k = 1..k_max."""
     spec = _kind(table.kind)
     return [table.count(spec.unit * k + spec.offset, k + 1 - t) for k in range(1, k_max + 1)]
+
+
+def lagrange_coefficients(xs, ys) -> list[Fraction]:
+    """Monomial coefficients, constant first, of the polynomial through the
+    points (xs[i], ys[i]): the sum of ys[i] * prod_{j != i} (x - xs[j]) / (xs[i] - xs[j]),
+    each product expanded on its own.  Trailing zeros are dropped."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = [Fraction(yi)]
+        for j, xj in enumerate(xs):
+            if j != i:
+                # multiply by (x - xj) / (xi - xj)
+                shifted = [Fraction(0)] + term
+                for k, c in enumerate(term):
+                    shifted[k] -= xj * c
+                term = [c / (xi - xj) for c in shifted]
+        for k, c in enumerate(term):
+            coeffs[k] += c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def reference_fit(values, t: int, n_start: int = 1):
+    """(coefficients, stable_from) that ``fit_polynomial`` must return, or None
+    when it must raise, found without differences or Newton forms.
+
+    P is the Lagrange polynomial through the last t//2 + 1 values;
+    ``stable_from`` is the last x a backward scan, evaluating P term by term,
+    finds on P before it meets a value off P.  The fit is certified when P holds the last
+    t//2 + 1 + max(5, t + 2) values (the order-(t//2 + 1) differences vanish
+    on the last max(5, t + 2) entries exactly then)."""
+    d = t // 2
+    span = d + 1 + max(5, t + 2)
+    if len(values) < span:
+        return None
+    xs = list(range(n_start, n_start + len(values)))
+    coeffs = lagrange_coefficients(xs[-(d + 1):], values[-(d + 1):])
+    stable_from = xs[-1]
+    for x, v in zip(reversed(xs), reversed(values)):
+        if sum(c * x**k for k, c in enumerate(coeffs)) != v:
+            break
+        stable_from = x
+    if stable_from > xs[-span]:
+        return None
+    return coeffs, stable_from

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -56,6 +57,23 @@ class TestIndex:
         assert code == 2 and "2,x" in err
         code, _, err = run(capsys, "index", "0,3")
         assert code == 2
+
+
+class TestHugeSums:
+    """A sum above sys.maxsize is rejected before anything is allocated."""
+
+    HUGE = 10**20 - 1  # above 2**63
+
+    @pytest.mark.parametrize("command", ["index", "frobenius", "meander"])
+    @pytest.mark.parametrize("pair, total", [
+        ((str(HUGE),), HUGE),
+        ((f"1,{HUGE}", str(HUGE + 1)), HUGE + 1),
+        ((str(2**63),), 2**63),
+    ])
+    def test_exits_2_with_one_error_line(self, capsys, command, pair, total):
+        assert run(capsys, command, *pair) == (
+            2, "", f"error: sum {total} exceeds the largest supported sum {sys.maxsize}\n"
+        )
 
 
 class TestFrobenius:
@@ -427,6 +445,34 @@ def test_per_kind_output_pinned(capsys, argv, code, digest, err):
 ])
 def test_single_composition_output_pinned(capsys, argv, code, out):
     assert run(capsys, *argv.split()) == (code, out, "")
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_cli_examples():
+    """(argv, expected stdout) of every README line ``seaweeds ...  # -> X``, or
+    ``# "X", exit 0``: the documented results of the CLI block."""
+    examples = []
+    with open(README) as handle:
+        for line in handle:
+            command, _, comment = line.partition("#")
+            comment = comment.strip()
+            if not command.startswith("seaweeds ") or not comment.startswith(("-> ", '"')):
+                continue
+            result = comment.removeprefix("-> ")
+            expected = result.split('"')[1] if result.startswith('"') else result.split()[0]
+            examples.append((shlex.split(command)[1:], expected + "\n"))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_seven_documented_results(self):
+        assert len(readme_cli_examples()) == 7
+
+    @pytest.mark.parametrize("argv, out", readme_cli_examples())
+    def test_documented_result(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
 
 
 class TestDeepWords:

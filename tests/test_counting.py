@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import seaweeds.counting as counting
-from helpers import make_rng, random_composition
+from helpers import make_rng, random_composition, reference_fit
 from seaweeds import (
     BudgetExceeded,
     CountTable,
@@ -223,6 +224,48 @@ class TestFitPolynomial:
         seq = [n**3 for n in range(1, 14)]
         with pytest.raises(UnstableSequence):
             fit_polynomial(seq, t=4)
+
+    def test_agrees_with_lagrange_and_a_backward_scan(self):
+        """Seeded random windows against ``helpers.reference_fit``: integer-valued
+        polynomials of degree <= t//2 (collapsed degrees included), noisy heads,
+        n_start != 1, and tails of degree t//2 + 1, with a late bump or too
+        short, which must raise."""
+        rng = make_rng()
+        seen = {"fit": 0, "raised": 0, "late_start": 0, "collapsed": 0}
+        for _ in range(600):
+            t = rng.randint(0, 9)
+            d = t // 2
+            kind = rng.choice(("poly", "poly", "noisy", "too_steep", "late_bump"))
+            degree = d + 1 if kind == "too_steep" else rng.randint(0, d)
+            weights = [rng.randint(-30, 30) for _ in range(degree + 1)]
+            if kind == "too_steep" and weights[-1] == 0:
+                weights[-1] = 1
+            n_start = rng.randint(-5, 5)
+            span = d + 1 + max(5, t + 2)  # the values the certificate reads
+            length = rng.randint(span - 2, 30)
+            seq = [sum(w * comb(n + 10, k) for k, w in enumerate(weights))
+                   for n in range(n_start, n_start + length)]
+            if kind == "noisy":
+                for _ in range(rng.randint(1, 3)):
+                    seq[rng.randrange(min(6, length))] += rng.choice((-2, -1, 1, 2))
+            if kind == "late_bump":
+                seq[-rng.randint(1, min(span, length))] += 1
+            expected = reference_fit(seq, t, n_start)
+            if expected is None:
+                seen["raised"] += 1
+                with pytest.raises(UnstableSequence):
+                    fit_polynomial(seq, t, n_start=n_start)
+                continue
+            coeffs, stable_from = expected
+            fit = fit_polynomial(seq, t, n_start=n_start)
+            assert fit.coefficients == tuple(coeffs)
+            assert fit.degree == len(coeffs) - 1
+            assert fit.stable_from == stable_from
+            assert fit.window == (n_start, n_start + length - 1)
+            seen["fit"] += 1
+            seen["late_start"] += stable_from > n_start
+            seen["collapsed"] += fit.degree < d
+        assert min(seen.values()) >= 50, seen
 
     def test_json_dict(self):
         fit = fit_polynomial([2] * 8, t=1, n_start=3, epsilon=1)
