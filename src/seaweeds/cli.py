@@ -15,6 +15,7 @@ so a failing run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -212,7 +213,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_match else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="seaweeds",
         description="Meander index, Frobenius generation and counting for "

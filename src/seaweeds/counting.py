@@ -5,7 +5,9 @@ p parts (total parts, for pairs):
 
 * ``brute_table`` enumerates the compositions (or pairs) with exactly two
   odd parts in total, the only ones whose meander graph can be one path,
-  and walks each graph to see whether it is (``table --method brute``);
+  keeps one per side-swap or reversal orbit and drops the pairs whose
+  sides share a proper partial sum, and walks each graph that is left to
+  see whether it is (``table --method brute``);
 * ``generated_table`` and ``deficiency_table`` tally the free-monoid
   generation, straight from the raw search nodes, in full or pruned to
   deficiency <= t (``table --method generated|deficiency`` and
@@ -48,12 +50,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # iter_compositions, component_counts and the generate_* names are not called
 # here; they stay bound because perfbench/tracing.py wraps this module's
 # bindings of them.
-from .compositions import iter_compositions, iter_compositions_odd  # noqa: F401
+from .compositions import iter_compositions  # noqa: F401
 from .meander import component_counts, partner_array, path_size  # noqa: F401
 from .parabolic_words import (  # noqa: F401
     _SEEDS_RAW, _child_moves_p, composition_nodes, generate_deficiency_p, generate_frobenius_p,
@@ -62,8 +64,8 @@ from .seaweed_words import (  # noqa: F401
     _SEED_RAW, _check_bounds, _child_moves, generate_deficiency, generate_frobenius, pair_nodes,
 )
 
-SEAWEED_BRUTE_BUDGET = 14
-PARABOLIC_BRUTE_BUDGET = 20
+SEAWEED_BRUTE_BUDGET = 18
+PARABOLIC_BRUTE_BUDGET = 24
 
 
 class BudgetExceeded(ValueError):
@@ -90,13 +92,28 @@ class _Kind:
     def offset(self) -> int:
         return self.epsilon or 0
 
-    def bottoms(self, n: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-        """(bottom, counted parts) of sum n that can close a Frobenius pair,
-        keyed by the bottom's number of odd parts, which is at most two."""
-        if self.epsilon is None:
-            return {k: [(c, len(c)) for c in iter_compositions_odd(n, k)]
-                    for k in range(n % 2, 3, 2)}
-        return {n % 2: [((n,), 0)]}
+    def census(self, n: int) -> Iterator[tuple[int, int]]:
+        """(counted parts, orbit size) of every Frobenius orbit representative
+        of sum n among the census candidates; see :func:`brute_table`."""
+        if self.epsilon is not None:  # one of each composition and its reversal
+            block = partner_array((n,), n)
+            for top, cuts, mirrored, end, parts in _census_sides(n, 2 - n % 2, reversal=True):
+                if cuts <= mirrored and path_size(top, block, end) == n:
+                    yield parts, 1 if cuts == mirrored else 2
+        elif n % 2:  # (1, 1) odd parts: each unordered pair once
+            sides = [(tuple(side), cuts, end, parts)
+                     for side, cuts, _, end, parts in _census_sides(n, 1)]
+            for i, (top, cuts, end, top_parts) in enumerate(sides):
+                for bottom in sides[i:]:
+                    if not cuts & bottom[1] and path_size(top, bottom[0], end) == n:
+                        yield top_parts + bottom[3], 1 if bottom is sides[i] else 2
+        else:  # (0, 2) odd parts, each standing for its (2, 0) swap too
+            bottoms = [(tuple(bottom), cuts, end, parts)
+                       for bottom, cuts, _, end, parts in _census_sides(n, 2)]
+            for top, cuts, _, _, top_parts in _census_sides(n, 0):
+                for bottom, bottom_cuts, end, parts in bottoms:
+                    if not cuts & bottom_cuts and path_size(top, bottom, end) == n:
+                        yield top_parts + parts, 2
 
     def sum_at(self, k: int) -> int:
         """The sum unit*k + eps at index k of a diagonal."""
@@ -147,6 +164,64 @@ def _kind(name: str) -> _Kind:
     raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
 
 
+def _census_sides(
+    n: int, odd: int, reversal: bool = False
+) -> Iterator[tuple[list[int], int, int, int, int]]:
+    """The compositions of ``n`` with exactly ``odd`` odd parts, in the order of
+    :func:`~seaweeds.compositions.iter_compositions_odd`, as
+    (partners, cuts, mirrored, end, parts).
+
+    One explicit-stack walk writes each block's arcs into the one list
+    ``partners`` as the block is placed, so a prefix shared by many
+    compositions is written once.  The list is complete at each yield and
+    rewritten after it: a caller that keeps it must copy it.  ``cuts`` has
+    bit s - 1 set for each proper partial sum s, ``mirrored`` bit n - s - 1
+    (the cuts of the reversed composition), ``end`` is the bare middle
+    vertex of the first odd block (-1 when there is none) and ``parts``
+    the number of parts.
+
+    A part is placed only when the odd parts still owed fit in what is left
+    after it, so without ``reversal`` no branch is a dead end.  With
+    ``reversal`` the last part must also be at least the first, and a part
+    that is not the last must leave at least that much.  This skips only
+    compositions with ``cuts > mirrored``, which do not represent their
+    reversal orbit.  A branch can then die without a yield, when the odd
+    parts it still owes leave no room for a last part that large.
+    """
+    if odd < 0 or odd > n or (n - odd) % 2:
+        return
+    # block[lo][size]: the partners of positions lo.., bare middle vertex -1
+    block = [[list(range(lo + size - 1, lo - 1, -1)) for size in range(n - lo + 1)]
+             for lo in range(n + 1)]
+    for row in block:
+        for size in range(1, len(row), 2):
+            row[size][size // 2] = -1
+    partners = [-1] * n
+    # any first size leaves room for the odd parts owed: up to n - odd + 1
+    # while one is owed, else the even sizes; floor is the smallest last part
+    stack = [(0, size, odd - (size & 1), 0, 0, -1, 1, size if reversal else 1)
+             for size in (range(n - odd + 1, 0, -1) if odd else range(n, 0, -2))]
+    while stack:
+        lo, size, left, cuts, mirrored, end, parts, floor = stack.pop()
+        hi = lo + size
+        partners[lo:hi] = block[lo][size]
+        if size & 1 and end < 0:
+            end = lo + size // 2
+        rest = n - hi
+        if not rest:
+            yield partners, cuts, mirrored, end, parts
+            continue
+        cuts |= 1 << (hi - 1)
+        mirrored |= 1 << (rest - 1)
+        parts += 1
+        if left <= 1 and rest >= floor:  # rest as the last part has the owed parity
+            stack.append((hi, rest, 0, cuts, mirrored, end, parts, floor))
+        room = rest - floor  # the largest part that is not the last
+        stack += [(hi, size, left - (size & 1), cuts, mirrored, end, parts, floor)
+                  for size in (range(min(room, rest - left + 1), 0, -1) if left
+                               else range(room - (room & 1), 0, -2))]
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Counts per (sum, parts); entries hold positive counts only."""
@@ -186,13 +261,29 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     A block of size a gives floor(a/2) arcs, so a candidate with k odd
     parts in total has n - k/2 arcs, while a single path on n vertices has
     n - 1.  Hence only candidates with exactly two odd parts in total can
-    be Frobenius, and only those are enumerated: top and bottom odd-part
-    counts (0, 2), (1, 1) or (2, 0) for pairs, and a top with
-    2 - (n mod 2) odd parts against the block (n) for compositions.  Such
-    a graph is one path plus cycles, so it is Frobenius exactly when the
-    walk from the bare middle vertex of its first odd block covers all n
-    vertices.  The seaweed kind is budgeted at n_max <= 14 unless
-    overridden, the parabolic kinds at 20.
+    be Frobenius: top and bottom odd-part counts (0, 2), (1, 1) or (2, 0)
+    for pairs, and a top with 2 - (n mod 2) odd parts against the block
+    (n) for compositions.  Such a graph is one path plus cycles, so it is
+    Frobenius exactly when the walk from the bare middle vertex of its
+    first odd block covers all n vertices.
+
+    Two more lemmas thin the candidates, and each one left gets exactly
+    one such walk:
+
+    * Swapping the two sides of a pair, or reversing both sides, gives the
+      same graph up to mirroring, with the same number of parts.  So one
+      candidate per orbit is walked and counted with the orbit's size:
+      for an even sum the (0, 2) pairs twice and the (2, 0) pairs not at
+      all; for an odd sum each unordered (1, 1) pair once, twice when its
+      sides differ; for a composition against (n) one of it and its
+      reversal, twice unless it is a palindrome.
+    * No arc crosses a proper partial sum that both sides share, so such a
+      pair has at least two components.  A pair is walked only when the
+      cut bitmasks of its sides are disjoint.
+
+    The sides come from :func:`_census_sides`, which writes each block's
+    arcs in place as it is placed.  The seaweed kind is budgeted at
+    n_max <= 18 unless overridden, the parabolic kinds at 24.
     """
     spec = _kind(kind)
     budget = SEAWEED_BRUTE_BUDGET if spec.epsilon is None else PARABOLIC_BRUTE_BUDGET
@@ -203,15 +294,8 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
         )
     entries: dict[tuple[int, int], int] = {}
     for n in range(spec.first_sum, n_max + 1, spec.unit):
-        for k, group in spec.bottoms(n).items():
-            bottoms = [(partner_array(c, n), parts) for c, parts in group]
-            for top in iter_compositions_odd(n, 2 - k):
-                top_partners = partner_array(top, n)
-                for bottom_partners, parts in bottoms:
-                    first_odd = top_partners if k < 2 else bottom_partners
-                    if path_size(top_partners, bottom_partners, first_odd.index(-1)) == n:
-                        key = (n, len(top) + parts)
-                        entries[key] = entries.get(key, 0) + 1
+        for parts, weight in spec.census(n):
+            entries[n, parts] = entries.get((n, parts), 0) + weight
     return CountTable(kind=kind, method="brute", entries=entries)
 
 
@@ -261,17 +345,21 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     spec = _kind(kind)
     unit, first = spec.unit, spec.first_sum
     start, total, moves = spec.root()
-    levels: dict[int, dict[tuple, int]] = {total: {(start, 0): 1}}
-    children: dict[tuple, list[tuple[int, tuple]]] = {}
+    # each (truncated state, deficiency) gets a small int id when first seen,
+    # so the levels hash ints, not nested tuples
+    nodes = [(start, 0)]
+    ids = {nodes[0]: 0}
+    children: list[Optional[list[tuple[int, int]]]] = [None]
+    levels: dict[int, dict[int, int]] = {total: {0: 1}}
     counts: dict[int, dict[int, int]] = {}
     for n in range(total, n_max + 1, unit):
         room = n_max - n
         for node, mult in levels.pop(n, {}).items():
-            state, deficit = node
+            state, deficit = nodes[node]
             if n >= first:
                 diagonal = counts.setdefault(deficit, {})
                 diagonal[n] = diagonal.get(n, 0) + mult
-            kids = children.get(node)
+            kids = children[node]
             if kids is None:
                 kids = children[node] = []
                 for move in moves(*state, min(room, unit * (t - deficit + 1))):
@@ -279,11 +367,16 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
                     child_deficit = deficit + inc // unit - 1 + (move[0].family == "T")
                     if child_deficit <= t:
                         keep = t - child_deficit + 1
-                        kids.append((inc, (spec.truncate(move[1:-1], keep), child_deficit)))
-            for inc, key in kids:
+                        key = (spec.truncate(move[1:-1], keep), child_deficit)
+                        kid = ids.setdefault(key, len(nodes))
+                        if kid == len(nodes):
+                            nodes.append(key)
+                            children.append(None)
+                        kids.append((inc, kid))
+            for inc, kid in kids:
                 if inc <= room:
                     level = levels.setdefault(n + inc, {})
-                    level[key] = level.get(key, 0) + mult
+                    level[kid] = level.get(kid, 0) + mult
     return counts
 
 

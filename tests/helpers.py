@@ -12,9 +12,11 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from functools import cache
 
-from seaweeds import BiComposition, Composition
+from seaweeds import BiComposition, Composition, iter_compositions
 from seaweeds.counting import _kind
+from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import ParabolicWord, _apply_raw_p, letter_p
 from seaweeds.seaweed_words import SeaweedWord, _apply_raw, letter
 
@@ -97,6 +99,16 @@ def random_parabolic_instance(
         a = _apply_raw_p(fam, tilde, m, a)
         applied.append(letter_p(fam, tilde, m))
     return base, ParabolicWord(tuple(reversed(applied)))
+
+
+@cache
+def pair_sweep(n: int) -> tuple[list, list, list[list[tuple[int, int]]]]:
+    """Every composition of n, its partner array, and the union-find
+    (cycles, paths) of every ordered pair of them, indexed like the list;
+    computed once per session for the exhaustive meander sweeps."""
+    comps = list(iter_compositions(n))
+    partners = [partner_array(c, n) for c in comps]
+    return comps, partners, [[component_counts(p, q) for q in partners] for p in partners]
 
 
 def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int, int]:

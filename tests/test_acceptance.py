@@ -58,15 +58,15 @@ def parabolic_generated_18():
 
 
 @pytest.fixture(scope="session")
-def seaweed_brute_14():
-    return brute_table("seaweed", 14)
+def seaweed_brute_16():
+    return brute_table("seaweed", 16)
 
 
 @pytest.fixture(scope="session")
-def parabolic_brute_20():
+def parabolic_brute_24():
     return {
-        0: brute_table("parabolic-even", 20),
-        1: brute_table("parabolic-odd", 19),
+        0: brute_table("parabolic-even", 24),
+        1: brute_table("parabolic-odd", 23),
     }
 
 
@@ -92,25 +92,25 @@ def test_criterion_1_published_polynomials():
 
 
 def test_criterion_2_oracle_equivalence(
-    seaweed_brute_14, parabolic_brute_20
+    seaweed_brute_16, parabolic_brute_24
 ):
-    assert generated_table("seaweed", 14).entries == seaweed_brute_14.entries
+    assert generated_table("seaweed", 16).entries == seaweed_brute_16.entries
     assert (
-        generated_table("parabolic-even", 20).entries == parabolic_brute_20[0].entries
+        generated_table("parabolic-even", 24).entries == parabolic_brute_24[0].entries
     )
     assert (
-        generated_table("parabolic-odd", 19).entries == parabolic_brute_20[1].entries
+        generated_table("parabolic-odd", 23).entries == parabolic_brute_24[1].entries
     )
     print(
         "PASS criterion 2: brute census equals generation census "
-        "(seaweed n<=14, parabolic n<=20)"
+        "(seaweed n<=16, parabolic n<=24)"
     )
 
 
-def test_criterion_3_emptiness_bounds(seaweed_brute_14, parabolic_brute_20):
-    assert seaweed_brute_14.bound_violations() == []
-    assert parabolic_brute_20[0].bound_violations() == []
-    assert parabolic_brute_20[1].bound_violations() == []
+def test_criterion_3_emptiness_bounds(seaweed_brute_16, parabolic_brute_24):
+    assert seaweed_brute_16.bound_violations() == []
+    assert parabolic_brute_24[0].bound_violations() == []
+    assert parabolic_brute_24[1].bound_violations() == []
     print("PASS criterion 3: no counts above p=n+1 (pairs) or p=floor(n/2)+1")
 
 
@@ -374,7 +374,7 @@ def test_criterion_10_unit_step_law_suite():
     )
 
 
-def test_criterion_11_diagonal_counts_match_both_oracles(seaweed_brute_14, parabolic_brute_20):
+def test_criterion_11_diagonal_counts_match_both_oracles(seaweed_brute_16, parabolic_brute_24):
     # route 2: the pruned search, on the default verify windows
     for kind, k_max in (("seaweed", 40), ("parabolic-even", 30), ("parabolic-odd", 30)):
         spec = _kind(kind)
@@ -383,8 +383,8 @@ def test_criterion_11_diagonal_counts_match_both_oracles(seaweed_brute_14, parab
             seq = deficiency_sequence(kind, t, range(1, k_max + 1))
             assert seq == diagonal(table, t, k_max), (kind, t)
     # route 1: the meander census, on its budgets
-    for table, k_max in ((seaweed_brute_14, 14), (parabolic_brute_20[0], 10),
-                         (parabolic_brute_20[1], 9)):
+    for table, k_max in ((seaweed_brute_16, 16), (parabolic_brute_24[0], 12),
+                         (parabolic_brute_24[1], 11)):
         for t in range(9):
             seq = deficiency_sequence(table.kind, t, range(1, k_max + 1))
             assert seq == diagonal(table, t, k_max), (table.kind, t)

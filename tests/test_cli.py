@@ -298,7 +298,7 @@ class TestTable:
 
     def test_budget_guard(self, capsys):
         code, _, err = run(
-            capsys, "table", "--kind", "seaweed", "--n-max", "15", "--method", "brute"
+            capsys, "table", "--kind", "seaweed", "--n-max", "19", "--method", "brute"
         )
         assert code == 2 and "budget" in err
 

@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
 
 import seaweeds.counting as counting
-from helpers import make_rng, random_composition, reference_fit
+from helpers import make_rng, pair_sweep, random_composition, reference_fit
 from seaweeds import (
     BudgetExceeded,
     CountTable,
@@ -16,6 +18,8 @@ from seaweeds import (
     generated_table,
     poly_str,
 )
+from seaweeds.compositions import iter_compositions, iter_compositions_odd
+from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _child_moves_p
 from seaweeds.seaweed_words import _child_moves
 
@@ -57,6 +61,75 @@ class TestBruteTable:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             brute_table("mystery", 4)
+
+    def test_equals_the_unfiltered_union_find_census(self):
+        # every pair (seaweed n <= 9) or composition against (n) (parabolic
+        # n <= 16), with no prefilter, no symmetry and no path walk
+        expected = Counter()
+        for n in range(1, 10):
+            comps, _, counts = pair_sweep(n)
+            for top, row in zip(comps, counts):
+                for bottom, components in zip(comps, row):
+                    if components == (0, 1):
+                        expected[n, len(top) + len(bottom)] += 1
+        assert brute_table("seaweed", 9).entries == dict(expected)
+        for kind, n_max in (("parabolic-even", 16), ("parabolic-odd", 15)):
+            expected = Counter()
+            for n in range(counting._kind(kind).first_sum, n_max + 1, 2):
+                block = partner_array((n,), n)
+                for c in iter_compositions(n):
+                    if component_counts(partner_array(c, n), block) == (0, 1):
+                        expected[n, len(c)] += 1
+            assert brute_table(kind, n_max).entries == dict(expected), kind
+
+    def test_walks_one_cut_free_candidate_per_orbit(self, monkeypatch):
+        walks = []
+        real = counting.path_size
+        monkeypatch.setattr(counting, "path_size", lambda *args: walks.append(1) or real(*args))
+
+        def cut_free(a, b):
+            return not set(accumulate(a[:-1])) & set(accumulate(b[:-1]))
+
+        def odd(n, k):
+            return list(iter_compositions_odd(n, k))
+
+        expected = 0
+        for n in range(1, 10):
+            if n % 2:  # unordered pairs of one-odd-part sides
+                comps = odd(n, 1)
+                expected += sum(cut_free(a, b) for i, a in enumerate(comps) for b in comps[i:])
+            else:  # one side without odd parts, the other with two
+                expected += sum(cut_free(a, b) for a in odd(n, 0) for b in odd(n, 2))
+        brute_table("seaweed", 9)
+        assert len(walks) == expected
+        for kind in ("parabolic-even", "parabolic-odd"):
+            walks.clear()
+            brute_table(kind, 16 - (kind == "parabolic-odd"))
+            first = counting._kind(kind).first_sum
+            assert len(walks) == sum(c <= c[::-1] for n in range(first, 17, 2)
+                                     for c in odd(n, 2 - n % 2)), kind
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_census_sides_are_the_compositions_with_their_arcs(n):
+    """The in-place walk yields, in order, what iter_compositions_odd gives,
+    dressed as (partners, cuts, mirrored cuts, first odd middle, parts)."""
+    for k in range(4):
+        comps = list(iter_compositions_odd(n, k))
+        want = []
+        for c in comps:
+            sums = list(accumulate(c[:-1]))
+            odd_at = [i for i, a in enumerate(c) if a % 2]
+            end = sum(c[:odd_at[0]]) + c[odd_at[0]] // 2 if odd_at else -1
+            want.append((partner_array(c, n), sum(1 << (s - 1) for s in sums),
+                         sum(1 << (n - s - 1) for s in sums), end, len(c)))
+        got = [(tuple(p), *rest) for p, *rest in counting._census_sides(n, k)]
+        assert got == want, (n, k)
+        kept = [(tuple(p), *rest) for p, *rest in counting._census_sides(n, k, reversal=True)]
+        assert kept == [w for w, c in zip(want, comps) if c[-1] >= c[0]], (n, k)
+        # what the reversal walk skips is never a representative, cuts <= mirrored
+        assert all(cuts > mirrored for (_, cuts, mirrored, _, _), c in zip(want, comps)
+                   if c[-1] < c[0])
 
 
 class TestOracleEquivalence:

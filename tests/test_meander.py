@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from helpers import make_rng, random_bicomposition, random_composition, reference_census
+from helpers import (
+    make_rng,
+    pair_sweep,
+    random_bicomposition,
+    random_composition,
+    reference_census,
+)
 from seaweeds import (
     BiComposition,
     Composition,
@@ -147,15 +153,18 @@ def test_two_odd_parts_prefilter_lemma():
     from the first odd block's bare middle vertex decides Frobenius."""
     cases = []
     for n in range(1, 10):
-        comps = [(c, partner_array(c, n), _odd_parts(c)) for c in iter_compositions(n)]
-        cases.extend((n, p, q) for p, q in itertools.product(comps, repeat=2))
+        comps, partners, counts = pair_sweep(n)
+        sides = [(c, p, _odd_parts(c)) for c, p in zip(comps, partners)]
+        cases.extend((n, top, bottom, counts[i][j]) for (i, top), (j, bottom)
+                     in itertools.product(enumerate(sides), repeat=2))
     for n in range(1, 17):
         block = ((n,), partner_array((n,), n), n % 2)
-        cases.extend((n, (c, partner_array(c, n), _odd_parts(c)), block)
-                     for c in iter_compositions(n))
+        for c in iter_compositions(n):
+            top = partner_array(c, n)
+            cases.append((n, (c, top, _odd_parts(c)), block, component_counts(top, block[1])))
     walked = 0
-    for n, (plus, top, top_odd), (minus, bot, bot_odd) in cases:
-        frobenius = component_counts(top, bot) == (0, 1)
+    for n, (plus, top, top_odd), (minus, bot, bot_odd), components in cases:
+        frobenius = components == (0, 1)
         if top_odd + bot_odd != 2:
             assert not frobenius, (plus, minus)
             continue
@@ -169,6 +178,37 @@ def test_two_odd_parts_prefilter_lemma():
     pairs = sum(count(n, k) * count(n, 2 - k) for n in range(1, 10) for k in range(3))
     blocks = sum(count(n, 2 - n % 2) for n in range(1, 17))
     assert walked == pairs + blocks == 9472
+
+
+def _cuts(parts):
+    """The proper partial sums of a composition."""
+    return set(itertools.accumulate(parts[:-1]))
+
+
+def test_common_cut_lemma():
+    """No arc crosses a proper partial sum that both sides share, so k shared
+    cuts split the graph into at least k + 1 components: never one path."""
+    shared = 0
+    for n in range(1, 10):
+        comps, _, counts = pair_sweep(n)
+        cuts = [_cuts(c) for c in comps]
+        for i, j in itertools.product(range(len(comps)), repeat=2):
+            common = cuts[i] & cuts[j]
+            if common:
+                cycles, paths = counts[i][j]
+                assert cycles + paths >= len(common) + 1, (comps[i], comps[j])
+                shared += 1
+    assert shared > 50000
+
+
+def test_component_counts_under_swap_and_reversal():
+    """(cycles, paths) is the same for (a, b), (b, a) and (rev a, rev b)."""
+    for n in range(1, 10):
+        comps, _, counts = pair_sweep(n)
+        position = {c: i for i, c in enumerate(comps)}
+        rev = [position[c[::-1]] for c in comps]
+        for i, j in itertools.product(range(len(comps)), repeat=2):
+            assert counts[i][j] == counts[j][i] == counts[rev[i]][rev[j]], (comps[i], comps[j])
 
 
 def test_component_partition_random():
