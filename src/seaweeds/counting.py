@@ -16,10 +16,12 @@ p parts (total parts, for pairs):
   enumerating them: by the truncation lemma, a node at deficiency d
   under bound t has a subtree that reads only its first t - d + 1 parts
   per side, so the pruned search collapses to a sum-by-sum count over
-  truncated states.  One count with bound t gives every diagonal d <= t,
-  and each truncated state lists its children once (``fit`` and
-  ``verify``, through ``deficiency_sequence``; ``verify`` runs one count
-  per kind).
+  truncated states.  A truncated pair and its side swap are one state:
+  the swap mirrors every move and keeps its increment and family, so the
+  two subtrees have the same sums and deficiencies.  One count with bound
+  t gives every diagonal d <= t, and each truncated state lists its
+  children once (``fit`` and ``verify``, through ``deficiency_sequence``;
+  ``verify`` runs one count per kind).
 
 Their agreement on the overlap is the central correctness check of this
 package.  Only the search raises :class:`CollisionError` on a repeated
@@ -137,10 +139,17 @@ class _Kind:
     def truncate(self, state: tuple, keep: int) -> tuple:
         """The parts of ``state`` a subtree can still read: the first ``keep``
         of each side of a pair, the first and last ``keep`` of a composition
-        (a tilde letter reverses it)."""
+        (a tilde letter reverses it).
+
+        A pair comes back with its sides in a canonical order, so a pair and
+        its side swap are one state of :func:`diagonal_counts` (its swap
+        lemma says why that is exact).  Reversal is no such symmetry of a
+        composition's moves (an S letter reads its first part, not its
+        last), so compositions keep their order."""
         if self.epsilon is None:
             plus, minus = state
-            return plus[:keep], minus[:keep]
+            plus, minus = plus[:keep], minus[:keep]
+            return (plus, minus) if plus <= minus else (minus, plus)
         (a,) = state
         return state if len(a) <= 2 * keep else (a[:keep] + a[-keep:],)
 
@@ -326,6 +335,15 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     reads the first two and raises the deficiency by at least 1, so at
     most t - d of them follow, and the j-th one on a side reads the part
     at depth j.  At d = t no T letter fits, and one part per side is kept.
+
+    Swap lemma: the minus letters are the plus letters conjugated by the
+    side swap, so the moves of a swapped pair are the mirrored moves, with
+    the same increments and families, and truncation commutes with the
+    swap.  A pair and its swap therefore have subtrees with the same sums
+    and deficiencies, and :meth:`_Kind.truncate` puts a pair's sides in a
+    canonical order.  This halves the seaweed states (233, 1,447 and
+    7,851 for t <= 4, 6 and 8); the seed is the only pair equal to its
+    swap.
 
     Nodes are therefore kept truncated and merged, with multiplicities,
     per (truncated state, deficiency).  Each level of equal sum is popped

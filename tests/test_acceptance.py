@@ -19,7 +19,6 @@ from seaweeds import (
     BiComposition,
     Composition,
     brute_table,
-    deficiency_sequence,
     deficiency_table,
     evaluate,
     evaluate_p,
@@ -41,7 +40,7 @@ from seaweeds import (
     word_stats,
     zeta,
 )
-from seaweeds.counting import _kind
+from seaweeds.counting import _kind, diagonal_counts
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _apply_raw_p, letter_p
 from seaweeds.seaweed_words import _apply_raw, _factorize_raw, letter
@@ -375,18 +374,23 @@ def test_criterion_10_unit_step_law_suite():
 
 
 def test_criterion_11_diagonal_counts_match_both_oracles(seaweed_brute_16, parabolic_brute_24):
-    # route 2: the pruned search, on the default verify windows
+    # route 2: the pruned search, on the default verify windows; one count
+    # with bound 4 gives every diagonal t <= 4
     for kind, k_max in (("seaweed", 40), ("parabolic-even", 30), ("parabolic-odd", 30)):
         spec = _kind(kind)
-        table = deficiency_table(kind, 4, spec.unit * k_max + spec.offset)
+        window = range(1, k_max + 1)
+        table = deficiency_table(kind, 4, spec.sum_at(k_max))
+        counts = diagonal_counts(kind, 4, spec.sum_at(k_max))
         for t in range(5):
-            seq = deficiency_sequence(kind, t, range(1, k_max + 1))
+            seq = spec.sequence(counts.get(t, {}), window)
             assert seq == diagonal(table, t, k_max), (kind, t)
-    # route 1: the meander census, on its budgets
+    # route 1: the meander census, on its budgets; one count with bound 8
     for table, k_max in ((seaweed_brute_16, 16), (parabolic_brute_24[0], 12),
                          (parabolic_brute_24[1], 11)):
+        spec = _kind(table.kind)
+        counts = diagonal_counts(table.kind, 8, spec.sum_at(k_max))
         for t in range(9):
-            seq = deficiency_sequence(table.kind, t, range(1, k_max + 1))
+            seq = spec.sequence(counts.get(t, {}), range(1, k_max + 1))
             assert seq == diagonal(table, t, k_max), (table.kind, t)
     print(
         "PASS criterion 11: truncated-state diagonal counts equal the pruned search "

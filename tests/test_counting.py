@@ -21,7 +21,7 @@ from seaweeds import (
 from seaweeds.compositions import iter_compositions, iter_compositions_odd
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _child_moves_p
-from seaweeds.seaweed_words import _child_moves
+from seaweeds.seaweed_words import _child_moves, letter
 
 # frozen from an independent endpoint-walk census (see tests/helpers.py)
 SEAWEED_TOTALS = {1: 1, 2: 2, 3: 6, 4: 14, 5: 34, 6: 68, 7: 150, 8: 296}
@@ -233,16 +233,73 @@ class TestDiagonalCounts:
         assert budgets
 
     @pytest.mark.parametrize("kind,t,expansions", [
-        ("seaweed", 4, 465), ("parabolic-even", 1, 17), ("parabolic-odd", 2, 45),
+        ("seaweed", 4, 233), ("seaweed", 6, 1447), ("parabolic-even", 1, 17),
+        ("parabolic-odd", 2, 45),
     ])
     def test_each_truncated_state_expands_once(self, monkeypatch, kind, t, expansions):
-        name = "_child_moves" if kind == "seaweed" else "_child_moves_p"
-        moves = getattr(counting, name)
+        # seaweed: (raw + 1) / 2 of the 465 and 2,893 states without the swap merge
         for n_max in (40, 120):
-            calls = []
-            monkeypatch.setattr(counting, name, lambda *args: calls.append(args) or moves(*args))
-            counting.diagonal_counts(kind, t, n_max)
-            assert len(calls) == expansions, (kind, n_max)
+            assert _expansions(monkeypatch, kind, t, n_max)[1] == expansions, (kind, n_max)
+
+
+def _expansions(monkeypatch, kind, t, n_max):
+    """(diagonal counts, number of states expanded) of one count."""
+    name = "_child_moves" if kind == "seaweed" else "_child_moves_p"
+    moves = getattr(counting, name)
+    calls = []
+    monkeypatch.setattr(counting, name, lambda *args: calls.append(args) or moves(*args))
+    counts = counting.diagonal_counts(kind, t, n_max)
+    monkeypatch.setattr(counting, name, moves)
+    return counts, len(calls)
+
+
+class TestSwapMerge:
+    """The diagonal count keeps one state per truncated pair and its side swap."""
+
+    def test_swapped_pair_gets_the_mirrored_moves(self):
+        # a minus letter is the plus letter on swapped sides: same increment,
+        # same family, and within each family and sign the same m order
+        def mirror(move):
+            l, plus, minus, inc = move
+            return letter(l.family, -l.sign, l.m), minus, plus, inc
+
+        rng = make_rng()
+        for _ in range(300):
+            plus, minus = (random_composition(rng, rng.randint(1, 12)) for _ in range(2))
+            budget = rng.randint(0, 40)
+            mirrored = sorted(map(mirror, _child_moves(plus, minus, budget)),
+                              key=lambda move: (move[0].family, -move[0].sign))
+            assert list(_child_moves(minus, plus, budget)) == mirrored, (plus, minus, budget)
+
+    def test_truncated_pair_and_its_swap_are_one_state(self):
+        spec = counting._kind("seaweed")
+        rng = make_rng()
+        for _ in range(300):
+            plus, minus = (random_composition(rng, rng.randint(1, 12)) for _ in range(2))
+            keep = rng.randint(1, 6)
+            merged = spec.truncate((plus, minus), keep)
+            assert merged == spec.truncate((minus, plus), keep)
+            assert merged in ((plus[:keep], minus[:keep]), (minus[:keep], plus[:keep]))
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_merge_off_gives_the_same_counts(self, monkeypatch, kind):
+        merge = counting._Kind.truncate
+
+        def unmerged(self, state, keep):
+            if self.epsilon is None:
+                return tuple(side[:keep] for side in state)
+            return merge(self, state, keep)
+
+        for t in range(7):
+            for n_max in (1, 2, 7, 30, 45):
+                monkeypatch.setattr(counting._Kind, "truncate", unmerged)
+                raw_counts, raw = _expansions(monkeypatch, kind, t, n_max)
+                monkeypatch.setattr(counting._Kind, "truncate", merge)
+                counts, expansions = _expansions(monkeypatch, kind, t, n_max)
+                assert raw_counts == counts, (kind, t, n_max)
+                # the seed is the only pair state equal to its own swap
+                assert raw == (2 * expansions - 1 if kind == "seaweed" else expansions), \
+                    (kind, t, n_max)
 
 
 class TestFitPolynomial:
