@@ -10,8 +10,13 @@ p parts (total parts, for pairs):
   see whether it is (``table --method brute``);
 * ``generated_table`` and ``deficiency_table`` tally the free-monoid
   generation, straight from the raw search nodes, in full or pruned to
-  deficiency <= t (``table --method generated|deficiency`` and
-  ``generate``, which stream the same nodes);
+  deficiency <= t (``table --method generated|deficiency``).  For pairs
+  the search walks the seed and the half below its S+ children, and
+  every other node counts twice: the minus letters are the plus letters
+  conjugated by the side swap, so the S- half is the mirror image of the
+  S+ half, with the same sums and part counts.  Each node walked enters
+  the seen-set with its mirror, so a repeat in either half still raises.
+  ``generate`` streams every node with its word, so it walks all of it;
 * ``diagonal_counts`` counts the deficiency diagonals without
   enumerating them: by the truncation lemma, a node at deficiency d
   under bound t has a subtree that reads only its first t - d + 1 parts
@@ -52,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 # iter_compositions, component_counts and the generate_* names are not called
 # here; they stay bound because perfbench/tracing.py wraps this module's
@@ -60,10 +65,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .compositions import iter_compositions  # noqa: F401
 from .meander import component_counts, partner_array, path_size  # noqa: F401
 from .parabolic_words import (  # noqa: F401
-    _SEEDS_RAW, _child_moves_p, composition_nodes, generate_deficiency_p, generate_frobenius_p,
+    _SEEDS_RAW, _child_moves_p, generate_deficiency_p, generate_frobenius_p,
 )
 from .seaweed_words import (  # noqa: F401
-    _SEED_RAW, _check_bounds, _child_moves, generate_deficiency, generate_frobenius, pair_nodes,
+    _SEED_RAW, _check_bounds, _child_moves, _search, _swap_sides, generate_deficiency,
+    generate_frobenius,
 )
 
 SEAWEED_BRUTE_BUDGET = 18
@@ -153,13 +159,27 @@ class _Kind:
         (a,) = state
         return state if len(a) <= 2 * keep else (a[:keep] + a[-keep:],)
 
-    def sizes(self, n_max: int, t: Optional[int]) -> Iterable[tuple[int, int]]:
-        """(sum, parts) of every raw search node; no objects are built."""
-        if self.epsilon is None:
-            nodes = pair_nodes(n_max, t)
-            return ((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
-        nodes = composition_nodes(self.epsilon, n_max, t)
-        return ((n, len(a)) for (a,), n, _, _ in nodes)
+    @property
+    def mirror(self) -> Optional[Callable[[tuple], tuple]]:
+        """The side swap for pairs: the minus letters are the plus letters
+        conjugated by it, so the search below the seed splits into two
+        mirror halves.  None for compositions, which have no such half."""
+        return _swap_sides if self.epsilon is None else None
+
+    def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
+        """Raw search nodes by (sum, parts); no objects are built.
+
+        With a :attr:`mirror` the search walks the seed and one mirror half
+        (see :func:`~seaweeds.seaweed_words._search`), and every node but
+        the seed is counted twice; its mirror has the same sum and parts."""
+        start, total, moves = self.root()
+        nodes = _search(start, moves, n_max, total, t, self.unit,
+                        emit_start=total >= self.first_sum, mirror=self.mirror)
+        if self.epsilon is not None:
+            return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
+        counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
+        seed = (total, 2)  # the seed (1)|(1) has no mirror twin
+        return {key: 2 * count - (key == seed) for key, count in counts.items()}
 
 
 _KIND_TABLE = (_Kind("seaweed", None), _Kind("parabolic-even", 0), _Kind("parabolic-odd", 1))
@@ -310,17 +330,21 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
 
 def _tally(kind: str, method: str, n_max: int, t: Optional[int]) -> CountTable:
     """Tally the raw search nodes by (sum, parts)."""
-    sizes = _kind(kind).sizes(n_max, t)
-    return CountTable(kind=kind, method=method, entries=dict(Counter(sizes)))
+    return CountTable(kind=kind, method=method, entries=_kind(kind).tally(n_max, t))
 
 
 def generated_table(kind: str, n_max: int) -> CountTable:
-    """Free-monoid generation, tallied by (sum, parts)."""
+    """Free-monoid generation, tallied by (sum, parts).
+
+    The seaweed search walks one mirror half and counts each node but the
+    seed twice (see :meth:`_Kind.tally`); a repeat in either half raises
+    :class:`~seaweeds.seaweed_words.CollisionError`."""
     return _tally(kind, "generated", n_max, None)
 
 
 def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
-    """Pruned generation: only objects within deficiency t of the part ceiling."""
+    """Pruned generation: only objects within deficiency t of the part ceiling,
+    tallied like :func:`generated_table`; the side swap keeps deficiencies."""
     return _tally(kind, "deficiency", n_max, t)
 
 
@@ -380,12 +404,11 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
             kids = children[node]
             if kids is None:
                 kids = children[node] = []
-                for move in moves(*state, min(room, unit * (t - deficit + 1))):
-                    inc = move[-1]
-                    child_deficit = deficit + inc // unit - 1 + (move[0].family == "T")
+                for l, child, inc in moves(*state, min(room, unit * (t - deficit + 1))):
+                    child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                     if child_deficit <= t:
                         keep = t - child_deficit + 1
-                        key = (spec.truncate(move[1:-1], keep), child_deficit)
+                        key = (spec.truncate(child, keep), child_deficit)
                         kid = ids.setdefault(key, len(nodes))
                         if kid == len(nodes):
                             nodes.append(key)

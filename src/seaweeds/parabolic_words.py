@@ -193,24 +193,35 @@ def factorize_p(a: Composition) -> Optional[tuple[int, ParabolicWord]]:
 
 
 def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tuple, int]]:
-    """All letter applications from ``a`` whose (even) sum increment fits.
+    """All letter applications from ``a`` whose (even) sum increment fits, as
+    (letter, (child,), increment).
 
     One-part compositions only take S letters: T would sit idle and
     reproduce the same composition, which the free generation forbids.
+    The middle each family keeps, and its reversal for the tilde letters,
+    are sliced once per call; the new first part is the new last part
+    plus the parts the letter consumed.
     """
     a1 = a[0]
     half = budget // 2
-    for tilde in (False, True):
-        for m in range(half // a1):
-            inc = 2 * (m + 1) * a1
-            yield letter_p("S", tilde, m), _apply_raw_p("S", tilde, m, a), inc
+    middle, reverse = a[1:], a[:0:-1]
+    top = half // a1
+    for m in range(top):
+        last = (m + 1) * a1
+        yield letter_p("S", False, m), ((last + a1,) + middle + (last,),), 2 * last
+    for m in range(top):
+        last = (m + 1) * a1
+        yield letter_p("S", True, m), ((last,) + reverse + (last + a1,),), 2 * last
     if len(a) > 1:
         a2 = a[1]
+        middle, reverse = a[2:], a[:1:-1]
         top = (half - a2) // (a1 + a2) + 1 if half >= a2 else 0
-        for tilde in (False, True):
-            for m in range(top):
-                inc = 2 * m * a1 + 2 * (m + 1) * a2
-                yield letter_p("T", tilde, m), _apply_raw_p("T", tilde, m, a), inc
+        for m in range(top):
+            last = m * a1 + (m + 1) * a2
+            yield letter_p("T", False, m), ((last + a1 + a2,) + middle + (last,),), 2 * last
+        for m in range(top):
+            last = m * a1 + (m + 1) * a2
+            yield letter_p("T", True, m), ((last,) + reverse + (last + a1 + a2,),), 2 * last
 
 
 def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iterator[tuple]:

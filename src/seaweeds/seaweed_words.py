@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar, Iterator, Optional
+from typing import Callable, ClassVar, Iterator, Optional
 
 from .compositions import NULL, BiComposition, Composition, MaybeBiComposition
 
@@ -369,45 +369,35 @@ def _factorize_raw(plus, minus) -> Optional[tuple[SeaweedLetter, ...]]:
     return None
 
 
-def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, tuple, int]]:
-    """All letter applications from (plus, minus) whose sum increment fits."""
+def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, int]]:
+    """All letter applications from (plus, minus) whose sum increment fits, as
+    (letter, (child plus, child minus), increment).
+
+    The tails each family keeps are sliced once per call; a child's new
+    first part is its increment plus the parts the letter consumed."""
     a1p, a1m = plus[0], minus[0]
+    plus_rest, minus_rest = plus[1:], minus[1:]
     for m in range(budget // a1p):
         inc = (m + 1) * a1p
-        yield (
-            letter("S", 1, m),
-            ((m + 2) * a1p,) + plus[1:],
-            (inc,) + minus,
-            inc,
-        )
+        yield letter("S", 1, m), ((inc + a1p,) + plus_rest, (inc,) + minus), inc
     for m in range(budget // a1m):
         inc = (m + 1) * a1m
-        yield (
-            letter("S", -1, m),
-            (inc,) + plus,
-            ((m + 2) * a1m,) + minus[1:],
-            inc,
-        )
+        yield letter("S", -1, m), ((inc,) + plus, (inc + a1m,) + minus_rest), inc
     if len(plus) > 1:
-        a2p = plus[1]
+        a2p, plus_rest = plus[1], plus[2:]
         for m in range((budget - a2p) // (a1p + a2p) + 1 if budget >= a2p else 0):
             inc = m * a1p + (m + 1) * a2p
-            yield (
-                letter("T", 1, m),
-                ((m + 1) * a1p + (m + 2) * a2p,) + plus[2:],
-                (inc,) + minus,
-                inc,
-            )
+            yield letter("T", 1, m), ((inc + a1p + a2p,) + plus_rest, (inc,) + minus), inc
     if len(minus) > 1:
-        a2m = minus[1]
+        a2m, minus_rest = minus[1], minus[2:]
         for m in range((budget - a2m) // (a1m + a2m) + 1 if budget >= a2m else 0):
             inc = m * a1m + (m + 1) * a2m
-            yield (
-                letter("T", -1, m),
-                (inc,) + plus,
-                ((m + 1) * a1m + (m + 2) * a2m,) + minus[2:],
-                inc,
-            )
+            yield letter("T", -1, m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
+
+
+def _swap_sides(state: tuple) -> tuple:
+    """The mirror of a pair state: its two sides exchanged."""
+    return state[::-1]
 
 
 def _check_bounds(n_max: int, t: Optional[int]) -> None:
@@ -419,16 +409,19 @@ def _check_bounds(n_max: int, t: Optional[int]) -> None:
 
 
 def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
-            unit: int = 1, emit_start: bool = True) -> Iterator[tuple]:
+            unit: int = 1, emit_start: bool = True,
+            mirror: Optional[Callable[[tuple], tuple]] = None) -> Iterator[tuple]:
     """Pre-order depth-first closure of a raw state under operator letters.
 
     A state is a tuple of part tuples, one per side: ``(plus, minus)`` for
     pairs, ``(a,)`` for a single composition.  ``moves(*state, budget)``
-    yields ``(letter, *child_sides, increment)`` for every letter whose sum
+    yields ``(letter, child_state, increment)`` for every letter whose sum
     increment fits ``budget``, in a fixed order; children are visited in
     that order, each subtree before the next sibling.  ``total`` is the
     sum of ``start``, and nodes with a sum above ``n_max`` are never
     emitted.  ``emit_start`` decides whether ``start`` itself is emitted.
+    Every increment is at least ``unit``, so a state with less room than
+    that left under ``n_max`` is a leaf and ``moves`` is not called for it.
 
     With a deficiency bound ``t`` the walk is pruned on the running
     deficiency, whose step per letter is ``increment // unit - 1``, plus 1
@@ -441,6 +434,19 @@ def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
     letter first.  Every state is checked against all states reached so
     far; a repeat raises :class:`CollisionError`.  The stack is explicit,
     so the depth of the walk is not limited by the interpreter.
+
+    ``mirror``, when given, is a symmetry of the tree: it fixes ``start``,
+    and the moves of ``mirror(state)`` are the moves of ``state`` with
+    every child mirrored, at the same increments and deficiency steps.
+    The children of ``start`` then come in mirror pairs whose subtrees are
+    mirror images, with the same sums, part counts and deficiencies, and
+    only the half under the child of each pair that is not below its
+    mirror is walked (for pairs and the side swap, the S+ half).  Every
+    node but ``start`` then stands for two, so a tally counts it twice.
+    The seen-set holds every child of ``start`` and, below them, every
+    node together with its mirror: that is the state set of the full
+    walk, and a repeat anywhere in it, a node equal to its own mirror
+    included, still raises :class:`CollisionError`.
     """
     _check_bounds(n_max, t)
     if total > n_max:
@@ -452,28 +458,38 @@ def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
     stack: list[tuple] = []
     while True:
         state, total, deficit, letters = node
-        budget = n_max - total
-        if t is not None:
-            budget = min(budget, unit * (t - deficit + 1))
-        children = []
-        for move in moves(*state, budget):
-            l, inc = move[0], move[-1]
-            if t is not None:
-                child_deficit = deficit + inc // unit - 1 + (l.family == "T")
-                if child_deficit > t:
-                    continue
-            else:
-                child_deficit = 0
-            key = move[1:-1]
-            if key in seen:
-                raise CollisionError(
-                    f"{'|'.join(map(str, key))} reached twice; "
-                    f"second route ends with letter {l}"
-                )
-            seen.add(key)
-            children.append((key, total + inc, child_deficit, (l,) + letters))
-        children.reverse()
-        stack += children
+        room = n_max - total
+        if room >= unit:
+            budget = room if t is None else min(room, unit * (t - deficit + 1))
+            children = []
+            for l, key, inc in moves(*state, budget):
+                if t is None:
+                    child_deficit = 0
+                else:
+                    child_deficit = deficit + inc // unit - 1 + (l.family == "T")
+                    if child_deficit > t:
+                        continue
+                if key in seen:
+                    raise CollisionError(
+                        f"{'|'.join(map(str, key))} reached twice; "
+                        f"second route ends with letter {l}"
+                    )
+                seen.add(key)
+                children.append((key, total + inc, child_deficit, (l,) + letters))
+            if mirror is not None:
+                if letters:  # each node below the start's children stands for its mirror
+                    for child in children:
+                        twin = mirror(child[0])
+                        if twin in seen:
+                            raise CollisionError(
+                                f"{'|'.join(map(str, twin))} reached twice; second route "
+                                f"is the mirror of one ending with letter {child[3][0]}"
+                            )
+                        seen.add(twin)
+                else:  # the half: one child of each mirror pair
+                    children = [child for child in children if child[0] >= mirror(child[0])]
+            children.reverse()
+            stack += children
         if not stack:
             return
         node = stack.pop()

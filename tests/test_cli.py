@@ -252,8 +252,8 @@ class TestGenerate:
         import seaweeds.seaweed_words as sw
 
         def duplicate(plus, minus, budget):
-            yield sw.letter("S", 1, 0), (2,), (1, 1), 1
-            yield sw.letter("S", -1, 0), (2,), (1, 1), 1
+            yield sw.letter("S", 1, 0), ((2,), (1, 1)), 1
+            yield sw.letter("S", -1, 0), ((2,), (1, 1)), 1
 
         monkeypatch.setattr(sw, "_child_moves", duplicate)
         with pytest.raises(CollisionError):

@@ -6,6 +6,8 @@ from math import comb
 import pytest
 
 import seaweeds.counting as counting
+import seaweeds.parabolic_words as pw
+import seaweeds.seaweed_words as sw
 from helpers import make_rng, pair_sweep, random_composition, reference_fit
 from seaweeds import (
     BudgetExceeded,
@@ -20,8 +22,8 @@ from seaweeds import (
 )
 from seaweeds.compositions import iter_compositions, iter_compositions_odd
 from seaweeds.meander import component_counts, partner_array
-from seaweeds.parabolic_words import _child_moves_p
-from seaweeds.seaweed_words import _child_moves, letter
+from seaweeds.parabolic_words import _child_moves_p, composition_nodes
+from seaweeds.seaweed_words import CollisionError, _child_moves, letter, pair_nodes
 
 # frozen from an independent endpoint-walk census (see tests/helpers.py)
 SEAWEED_TOTALS = {1: 1, 2: 2, 3: 6, 4: 14, 5: 34, 6: 68, 7: 150, 8: 296}
@@ -260,8 +262,8 @@ class TestSwapMerge:
         # a minus letter is the plus letter on swapped sides: same increment,
         # same family, and within each family and sign the same m order
         def mirror(move):
-            l, plus, minus, inc = move
-            return letter(l.family, -l.sign, l.m), minus, plus, inc
+            l, (plus, minus), inc = move
+            return letter(l.family, -l.sign, l.m), (minus, plus), inc
 
         rng = make_rng()
         for _ in range(300):
@@ -300,6 +302,117 @@ class TestSwapMerge:
                 # the seed is the only pair state equal to its own swap
                 assert raw == (2 * expansions - 1 if kind == "seaweed" else expansions), \
                     (kind, t, n_max)
+
+
+def _full_tally(n_max, t=None):
+    """The seaweed tally of the full walk, both mirror halves, as ``generate`` walks it."""
+    nodes = pair_nodes(n_max, t)
+    return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes))
+
+
+def _planted(plants):
+    """The real pair lister, plus the moves ``plants[state]`` at ``state`` and,
+    mirrored, at its side swap, so the tree keeps its mirror symmetry."""
+
+    def moves(plus, minus, budget):
+        yield from _child_moves(plus, minus, budget)
+        for l, child, inc in plants.get((plus, minus), ()):
+            if inc <= budget:
+                yield l, child, inc
+        for l, child, inc in plants.get((minus, plus), ()):
+            if inc <= budget:
+                yield letter(l.family, -l.sign, l.m), child[::-1], inc
+
+    return moves
+
+
+def _bogus_root(plus, minus, budget):
+    """Two letters reaching one pair from every state, the seed included."""
+    yield letter("S", 1, 0), ((2,), (1, 1)), 1
+    yield letter("S", -1, 0), ((2,), (1, 1)), 1
+
+
+# ((4,), (2, 1, 1)) is S+0 S+0 of the seed, sum 4 and deficiency 1, and
+# ((6,), (3, 2, 1)) is S+0 S+1, sum 6, in the sibling subtree: both are in
+# the S+ half, and the planted letter takes the first to sum 6
+_DEEP, _OTHER = ((4,), (2, 1, 1)), ((6,), (3, 2, 1))
+
+
+class TestHalfWalk:
+    """The seaweed tallies walk the seed and the S+ half of the search and
+    count every other node twice; the seen-set holds each node with its
+    mirror, so a repeat anywhere in the full tree still raises."""
+
+    def test_generated_table_is_the_full_walk(self):
+        for n_max in range(1, 15):
+            assert generated_table("seaweed", n_max).entries == _full_tally(n_max), n_max
+
+    def test_deficiency_table_is_the_full_walk(self):
+        for t in range(5):
+            for n_max in range(1, 25):
+                assert deficiency_table("seaweed", t, n_max).entries == \
+                    _full_tally(n_max, t), (t, n_max)
+
+    @pytest.mark.parametrize("lister", [
+        pytest.param(_bogus_root, id="root"),
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER, 2)]}), id="deep-in-half"),
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER[::-1], 2)]}),
+                     id="across-halves"),
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((3, 3), (3, 3)), 2)]}),
+                     id="own-swap"),
+    ])
+    def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister):
+        monkeypatch.setattr(counting, "_child_moves", lister)
+        monkeypatch.setattr(sw, "_child_moves", lister)
+        with pytest.raises(CollisionError):
+            list(pair_nodes(8))  # the full walk meets the repeat too
+        with pytest.raises(CollisionError):
+            generated_table("seaweed", 8)
+        with pytest.raises(CollisionError):
+            deficiency_table("seaweed", 4, 8)
+
+    def test_planted_lister_without_a_repeat_tallies_both_halves(self, monkeypatch):
+        # a fresh pair planted at _DEEP and, mirrored, at its swap: no repeat,
+        # and the half walk still counts what the full walk visits
+        lister = _planted({_DEEP: [(letter("S", 1, 7), ((5, 1), (1, 5)), 2)]})
+        monkeypatch.setattr(counting, "_child_moves", lister)
+        monkeypatch.setattr(sw, "_child_moves", lister)
+        planted = _full_tally(9)
+        assert generated_table("seaweed", 9).entries == planted
+        monkeypatch.undo()
+        assert planted[6, 4] == _full_tally(9)[6, 4] + 2
+
+
+class TestZeroRoom:
+    @pytest.mark.parametrize("kind,n_max,table_calls,walk_calls", [
+        ("seaweed", 10, 579, 1157),
+        ("parabolic-even", 20, 2975, 2975),
+        ("parabolic-odd", 21, 1727, 1727),
+    ])
+    def test_no_moves_are_listed_without_room(self, monkeypatch, kind, n_max, table_calls,
+                                              walk_calls):
+        """Every increment is at least the kind's unit, so a node with less
+        room left is a leaf and the search never lists its moves.  The pins
+        count the listings of the table's walk (the seaweed one walks a
+        mirror half) and of the full walk; without the guard every node
+        lists its moves, 2,297, 6,035 and 3,217 of them for the full walk."""
+        spec = counting._kind(kind)
+        name, words = ("_child_moves", sw) if kind == "seaweed" else ("_child_moves_p", pw)
+        rooms: dict[str, list[int]] = {"table": [], "walk": []}
+        for module, walk in ((counting, "table"), (words, "walk")):
+            def recorder(*args, moves=getattr(module, name), walk=walk):
+                *state, budget = args
+                rooms[walk].append(n_max - sum(state[0]))
+                return moves(*args)
+
+            monkeypatch.setattr(module, name, recorder)
+        generated_table(kind, n_max)
+        if spec.epsilon is None:
+            list(pair_nodes(n_max))
+        else:
+            list(composition_nodes(spec.epsilon, n_max))
+        assert min(rooms["table"] + rooms["walk"]) >= spec.unit
+        assert (len(rooms["table"]), len(rooms["walk"])) == (table_calls, walk_calls)
 
 
 class TestFitPolynomial:

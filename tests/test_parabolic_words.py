@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from helpers import make_rng, random_composition, random_parabolic_instance
@@ -22,7 +24,7 @@ from seaweeds import (
     theta,
     w_sequence_p,
 )
-from seaweeds.parabolic_words import _child_moves_p, letter_p, seed
+from seaweeds.parabolic_words import _apply_raw_p, _child_moves_p, letter_p, seed
 from seaweeds.seaweed_words import IOTA, SeaweedWord
 
 V_WORD = ParabolicWord.parse("T~0 S~0 S0")
@@ -234,7 +236,7 @@ class TestGenerate:
     def test_pre_order_with_children_in_move_order(self):
         def reference(a, total, n_max, path):
             yield str(ParabolicWord(tuple(reversed(path)))), a
-            for l, child, inc in _child_moves_p(a, n_max - total):
+            for l, (child,), inc in _child_moves_p(a, n_max - total):
                 yield from reference(child, total + inc, n_max, path + [l])
 
         for eps, start in ((0, (1, 1)), (1, (1,))):
@@ -247,6 +249,28 @@ class TestGenerate:
             for _, c in generate_frobenius_p(eps, 18 - eps):
                 if c.parts[0] == c.parts[-1]:
                     assert c in (SEED_EVEN, SEED_ODD)
+
+
+class TestListerMatchesEvaluator:
+    def test_every_move_is_its_letter_applied(self):
+        """Exhaustive over the compositions of sum <= 9 and the budgets 0..12:
+        the lister yields, in order, exactly the letters whose increment
+        fits, each with the child ``_apply_raw_p`` gives and the sum
+        difference as its increment; S, S~, T, T~ order, m rising, and no
+        T letter on one part."""
+        top = 12
+        for n in range(1, 10):
+            for a in iter_compositions(n):
+                want = []
+                for family, tilde in (("S", False), ("S", True), ("T", False), ("T", True)):
+                    for m in itertools.count():
+                        child = _apply_raw_p(family, tilde, m, a)
+                        if child == a or sum(child) - n > top:
+                            break
+                        want.append((letter_p(family, tilde, m), (child,), sum(child) - n))
+                for budget in range(top + 1):
+                    got = list(_child_moves_p(a, budget))
+                    assert got == [move for move in want if move[2] <= budget], (a, budget)
 
 
 class TestGenerateDeficiency:
@@ -281,7 +305,7 @@ class TestGenerateDeficiency:
 
         monkeypatch.setattr(pw, "_child_moves_p", recording)
         kept = {c.parts for _, _, c in generate_deficiency_p(1, 2, 31)}
-        dropped = [l for l, child, _ in offered if child not in kept]
+        dropped = [l for l, (child,), _ in offered if child not in kept]
         assert len(offered) - len(dropped) == len(kept)  # the odd seed is not emitted
         assert dropped and all(l.family == "T" for l in dropped)
 
@@ -369,8 +393,8 @@ class TestFreenessMachinery:
         import seaweeds.parabolic_words as pw
 
         def bogus(a, budget):
-            yield pw.letter_p("S", False, 0), (2, 1), 2
-            yield pw.letter_p("S", True, 0), (2, 1), 2
+            yield pw.letter_p("S", False, 0), ((2, 1),), 2
+            yield pw.letter_p("S", True, 0), ((2, 1),), 2
 
         monkeypatch.setattr(pw, "_child_moves_p", bogus)
         with pytest.raises(pw.CollisionError):

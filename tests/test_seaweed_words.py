@@ -30,7 +30,7 @@ from seaweeds import (
     word_stats,
     zeta,
 )
-from seaweeds.seaweed_words import _child_moves, letter, pair_nodes
+from seaweeds.seaweed_words import _apply_raw, _child_moves, letter, pair_nodes
 
 # totals of the exhaustive meander census, frozen from an independent
 # endpoint-walk enumeration over all pairs of compositions
@@ -347,16 +347,39 @@ class TestGenerateDeficiency:
 
         monkeypatch.setattr(sw, "_child_moves", recording)
         kept = {(b.plus.parts, b.minus.parts) for _, _, b in generate_deficiency(3, 14)}
-        dropped = [l for l, plus, minus, _ in offered if (plus, minus) not in kept]
+        dropped = [l for l, child, _ in offered if child not in kept]
         assert len(offered) - len(dropped) == len(kept) - 1
         assert dropped and all(l.family == "T" for l in dropped)
+
+
+class TestListerMatchesEvaluator:
+    def test_every_move_is_its_letter_applied(self):
+        """Exhaustive over the pairs of sum <= 7 and the budgets 0..12: the
+        lister yields, in order, exactly the letters whose increment fits,
+        each with the child ``_apply_raw`` gives and the sum difference as
+        its increment; family and sign in S+, S-, T+, T- order, m rising."""
+        top = 12
+        for n in range(1, 8):
+            sides = list(iter_compositions(n))
+            for plus, minus in itertools.product(sides, sides):
+                want = []
+                for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
+                    for m in itertools.count():
+                        child = _apply_raw(family, sign, m, plus, minus)
+                        if child is None or sum(child[0]) - n > top:
+                            break
+                        want.append((letter(family, sign, m), child, sum(child[0]) - n))
+                for budget in range(top + 1):
+                    got = list(_child_moves(plus, minus, budget))
+                    assert got == [move for move in want if move[2] <= budget], \
+                        (plus, minus, budget)
 
 
 class TestSearchOrder:
     def test_pre_order_with_children_in_move_order(self):
         def reference(plus, minus, total, n_max, path):
             yield " ".join(l.token() for l in reversed(path)), f"{plus}|{minus}"
-            for l, child_plus, child_minus, inc in _child_moves(plus, minus, n_max - total):
+            for l, (child_plus, child_minus), inc in _child_moves(plus, minus, n_max - total):
                 yield from reference(child_plus, child_minus, total + inc, n_max, path + [l])
 
         want = list(reference((1,), (1,), 1, 8, []))
@@ -466,8 +489,8 @@ class TestCollisionMachinery:
         import seaweeds.seaweed_words as sw
 
         def bogus(plus, minus, budget):
-            yield sw.letter("S", 1, 0), (2,), (1, 1), 1
-            yield sw.letter("S", -1, 0), (2,), (1, 1), 1
+            yield sw.letter("S", 1, 0), ((2,), (1, 1)), 1
+            yield sw.letter("S", -1, 0), ((2,), (1, 1)), 1
 
         monkeypatch.setattr(sw, "_child_moves", bogus)
         with pytest.raises(sw.CollisionError):
@@ -477,8 +500,8 @@ class TestCollisionMachinery:
         import seaweeds.seaweed_words as sw
 
         def bogus(plus, minus, budget):
-            yield sw.letter("S", 1, 0), (2,), (1, 1), 1
-            yield sw.letter("S", -1, 0), (2,), (1, 1), 1
+            yield sw.letter("S", 1, 0), ((2,), (1, 1)), 1
+            yield sw.letter("S", -1, 0), ((2,), (1, 1)), 1
 
         monkeypatch.setattr(sw, "_child_moves", bogus)
         with pytest.raises(sw.CollisionError):
