@@ -7,7 +7,9 @@ arguments.  With one composition the parabolic reading applies (the pair
 is completed with the one-block composition of the same sum).
 
 Exit codes: 0 success (or semantic "yes"), 1 semantic "no" (not
-Frobenius, verification mismatch, unstable fit), 2 bad usage or input.
+Frobenius, verification mismatch, unstable fit), 2 bad usage or input,
+141 (128 + SIGPIPE) when the reader closed stdout early, as in
+``seaweeds generate ... | head``; nothing is printed then.
 Output written with --out goes through a temp file and an atomic rename,
 so a failing run never leaves a partial file behind.
 """
@@ -50,6 +52,7 @@ from .parabolic_words import (  # noqa: F401
 from .seaweed_words import (  # noqa: F401
     SEED,
     SeaweedWord,
+    _Memo,
     evaluate,
     factorize,
     generate_frobenius,
@@ -150,17 +153,33 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
     Each line is the text ``json.dumps`` gives for the record dict, with the
     same keys in the same order.  No value needs escaping: the values are
     ints, digits joined by commas, and letter tokens joined by spaces.
+
+    The nodes come in pre-order, so a node's parent is the latest node with
+    one letter fewer: its word is its first letter and the parent's word, and
+    ``words[d]`` holds the latest word of d letters.  Part texts come from a
+    memo that holds only the values seen, so each record costs the same
+    whatever its depth or the window.
     """
-    if eps is None:
-        for (plus, minus), n, _, letters in pair_nodes(n_max, t):
-            word = "" if t is not None else f'"word": "{" ".join([l.text for l in letters])}", '
-            yield (f'{{{word}"plus": "{",".join(map(str, plus))}", '
-                   f'"minus": "{",".join(map(str, minus))}", '
+    part = _Memo(str).__getitem__  # the text of each part value
+    words = [""]
+    nodes = pair_nodes(n_max, t) if eps is None else composition_nodes(eps, n_max, t)
+    for state, n, _, letters in nodes:
+        if t is None:
+            depth = len(letters)
+            if depth:
+                words[depth:] = (f"{letters[0].text} {words[depth - 1]}" if depth > 1
+                                 else letters[0].text,)
+            word = f'"word": "{words[depth]}", '
+        else:
+            word = ""
+        if eps is None:
+            plus, minus = state
+            yield (f'{{{word}"plus": "{",".join(map(part, plus))}", '
+                   f'"minus": "{",".join(map(part, minus))}", '
                    f'"n": {n}, "p": {len(plus) + len(minus)}}}\n')
-    else:
-        for (a,), n, _, letters in composition_nodes(eps, n_max, t):
-            word = "" if t is not None else f'"word": "{" ".join([l.text for l in letters])}", '
-            yield (f'{{"epsilon": {eps}, {word}"parts": "{",".join(map(str, a))}", '
+        else:
+            (a,) = state
+            yield (f'{{"epsilon": {eps}, {word}"parts": "{",".join(map(part, a))}", '
                    f'"n": {n}, "p": {len(a)}}}\n')
 
 
@@ -295,7 +314,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the flush at shutdown
+        # stays silent, and exit as a writer killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -27,12 +27,14 @@ a failure would falsify freeness of the word monoid and raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 from .compositions import Composition
 # CollisionError is raised by the shared search; it stays importable from here.
-from .seaweed_words import CollisionError, WSequence, _letter_index, _search, _Word  # noqa: F401
+from .seaweed_words import (  # noqa: F401
+    CollisionError, WSequence, _letter_index, _Memo, _search, _Word,
+)
 
 
 class FirstLastEqual(ValueError):
@@ -75,6 +77,13 @@ class ParabolicLetter:
 @lru_cache(maxsize=None)
 def letter_p(family: str, tilde: bool, m: int) -> ParabolicLetter:
     return ParabolicLetter(family, tilde, m)
+
+
+# the move lister's letters by m, as in seaweed_words
+_S, _S_TILDE, _T, _T_TILDE = (
+    _Memo(partial(letter_p, family, tilde)).__getitem__
+    for family, tilde in (("S", False), ("S", True), ("T", False), ("T", True))
+)
 
 
 class ParabolicWord(_Word):
@@ -198,30 +207,34 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
 
     One-part compositions only take S letters: T would sit idle and
     reproduce the same composition, which the free generation forbids.
-    The middle each family keeps, and its reversal for the tilde letters,
-    are sliced once per call; the new first part is the new last part
-    plus the parts the letter consumed.
+    The smallest increments are 2 a1 (S0, S~0) and 2 a2 (T0, T~0), so a
+    budget below both lists nothing and slices nothing.  Otherwise the
+    middle each family keeps, and its reversal for the tilde letters, are
+    sliced once per call; the new first part is the new last part plus the
+    parts the letter consumed.
     """
     a1 = a[0]
     half = budget // 2
+    if half < a1 and (len(a) < 2 or half < a[1]):
+        return
     middle, reverse = a[1:], a[:0:-1]
     top = half // a1
     for m in range(top):
         last = (m + 1) * a1
-        yield letter_p("S", False, m), ((last + a1,) + middle + (last,),), 2 * last
+        yield _S(m), ((last + a1,) + middle + (last,),), 2 * last
     for m in range(top):
         last = (m + 1) * a1
-        yield letter_p("S", True, m), ((last,) + reverse + (last + a1,),), 2 * last
+        yield _S_TILDE(m), ((last,) + reverse + (last + a1,),), 2 * last
     if len(a) > 1:
         a2 = a[1]
         middle, reverse = a[2:], a[:1:-1]
         top = (half - a2) // (a1 + a2) + 1 if half >= a2 else 0
         for m in range(top):
             last = m * a1 + (m + 1) * a2
-            yield letter_p("T", False, m), ((last + a1 + a2,) + middle + (last,),), 2 * last
+            yield _T(m), ((last + a1 + a2,) + middle + (last,),), 2 * last
         for m in range(top):
             last = m * a1 + (m + 1) * a2
-            yield letter_p("T", True, m), ((last,) + reverse + (last + a1 + a2,),), 2 * last
+            yield _T_TILDE(m), ((last,) + reverse + (last + a1 + a2,),), 2 * last
 
 
 def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iterator[tuple]:

@@ -40,7 +40,7 @@ makes the pruned generator :func:`generate_deficiency` exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, ClassVar, Iterator, Optional
 
 from .compositions import NULL, BiComposition, Composition, MaybeBiComposition
@@ -101,6 +101,26 @@ def _letter_index(tok: str, digits: str) -> int:
 def letter(family: str, sign: int, m: int) -> SeaweedLetter:
     """Interned letter factory; generation shares letter objects heavily."""
     return SeaweedLetter(family, sign, m)
+
+
+class _Memo(dict):
+    """``make(key)`` by key, each made once, on first use; a read then costs
+    one dict lookup, less than a call of a cached function."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+# the move listers' letters by m: the factory's own objects, read faster
+_S_PLUS, _S_MINUS, _T_PLUS, _T_MINUS = (
+    _Memo(partial(letter, family, sign)).__getitem__
+    for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1))
+)
 
 
 @dataclass(frozen=True)
@@ -373,26 +393,31 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, in
     """All letter applications from (plus, minus) whose sum increment fits, as
     (letter, (child plus, child minus), increment).
 
-    The tails each family keeps are sliced once per call; a child's new
-    first part is its increment plus the parts the letter consumed."""
+    The smallest increments are a1+ and a1- (S+0, S-0) and a2+ and a2- (T+0,
+    T-0), so a budget below all of them lists nothing and slices nothing.
+    Otherwise the tails each family keeps are sliced once per call; a child's
+    new first part is its increment plus the parts the letter consumed."""
     a1p, a1m = plus[0], minus[0]
+    if (budget < a1p and budget < a1m and (len(plus) < 2 or budget < plus[1])
+            and (len(minus) < 2 or budget < minus[1])):
+        return
     plus_rest, minus_rest = plus[1:], minus[1:]
     for m in range(budget // a1p):
         inc = (m + 1) * a1p
-        yield letter("S", 1, m), ((inc + a1p,) + plus_rest, (inc,) + minus), inc
+        yield _S_PLUS(m), ((inc + a1p,) + plus_rest, (inc,) + minus), inc
     for m in range(budget // a1m):
         inc = (m + 1) * a1m
-        yield letter("S", -1, m), ((inc,) + plus, (inc + a1m,) + minus_rest), inc
+        yield _S_MINUS(m), ((inc,) + plus, (inc + a1m,) + minus_rest), inc
     if len(plus) > 1:
         a2p, plus_rest = plus[1], plus[2:]
         for m in range((budget - a2p) // (a1p + a2p) + 1 if budget >= a2p else 0):
             inc = m * a1p + (m + 1) * a2p
-            yield letter("T", 1, m), ((inc + a1p + a2p,) + plus_rest, (inc,) + minus), inc
+            yield _T_PLUS(m), ((inc + a1p + a2p,) + plus_rest, (inc,) + minus), inc
     if len(minus) > 1:
         a2m, minus_rest = minus[1], minus[2:]
         for m in range((budget - a2m) // (a1m + a2m) + 1 if budget >= a2m else 0):
             inc = m * a1m + (m + 1) * a2m
-            yield letter("T", -1, m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
+            yield _T_MINUS(m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
 
 
 def _swap_sides(state: tuple) -> tuple:

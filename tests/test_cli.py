@@ -1,12 +1,17 @@
+import collections
 import hashlib
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
+from seaweeds import cli
 from seaweeds.cli import main
 from seaweeds.counting import KINDS
 from seaweeds.parabolic_words import generate_deficiency_p, generate_frobenius_p
@@ -265,6 +270,30 @@ class TestGenerate:
         assert os.listdir(tmp_path) == []
 
 
+class TestStreamWindow:
+    """Rendering keeps nothing sized by the window: at --t 0 and a window of
+    10**12 the first records come at once, and rendering them takes little
+    memory beyond what the walk holds (its seen-set keeps every state)."""
+
+    @staticmethod
+    def traced_peak(items) -> int:
+        tracemalloc.start()
+        try:
+            collections.deque(itertools.islice(items, 1000), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("eps", [None, 0, 1])
+    def test_rendering_memory_does_not_depend_on_the_window(self, eps):
+        start = time.perf_counter()
+        rendered = self.traced_peak(cli._generate_lines(eps, 10**12, 0))
+        assert time.perf_counter() - start < 10
+        walked = self.traced_peak(cli.pair_nodes(10**12, 0) if eps is None
+                                  else cli.composition_nodes(eps, 10**12, 0))
+        assert rendered - walked < 2**20, (rendered, walked)
+
+
 class TestTable:
     def test_both_agree(self, capsys):
         code, out, _ = run(
@@ -500,3 +529,29 @@ class TestDeepWords:
         records = done.stdout.splitlines()
         assert len(records) == 2999
         assert json.loads(records[-1])["n"] == 1500
+
+
+class TestClosedPipe:
+    """A reader that stops early (``| head``) ends the run with exit 141,
+    128 + SIGPIPE, and nothing on stderr: it is not bad usage."""
+
+    @pytest.mark.parametrize("argv, lines", [
+        (("--kind", "seaweed", "--n-max", "14"), 1),
+        (("--kind", "seaweed", "--t", "0", "--n-max", str(10**12)), 3),
+    ])
+    def test_exit_141_and_silent(self, argv, lines):
+        code = "import sys; from seaweeds.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "generate", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            records = [json.loads(proc.stdout.readline()) for _ in range(lines)]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert records[0]["n"] == 1

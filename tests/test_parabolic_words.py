@@ -251,26 +251,48 @@ class TestGenerate:
                     assert c in (SEED_EVEN, SEED_ODD)
 
 
+def evaluated_moves(a, top):
+    """Every (letter, (child,), increment) with increment <= top, from
+    ``_apply_raw_p``: S, S~, T, T~ order, m rising, and no T letter on one part."""
+    n = sum(a)
+    want = []
+    for family, tilde in (("S", False), ("S", True), ("T", False), ("T", True)):
+        for m in itertools.count():
+            child = _apply_raw_p(family, tilde, m, a)
+            if child == a or sum(child) - n > top:
+                break
+            want.append((letter_p(family, tilde, m), (child,), sum(child) - n))
+    return want
+
+
 class TestListerMatchesEvaluator:
     def test_every_move_is_its_letter_applied(self):
         """Exhaustive over the compositions of sum <= 9 and the budgets 0..12:
         the lister yields, in order, exactly the letters whose increment
         fits, each with the child ``_apply_raw_p`` gives and the sum
-        difference as its increment; S, S~, T, T~ order, m rising, and no
-        T letter on one part."""
+        difference as its increment."""
         top = 12
         for n in range(1, 10):
             for a in iter_compositions(n):
-                want = []
-                for family, tilde in (("S", False), ("S", True), ("T", False), ("T", True)):
-                    for m in itertools.count():
-                        child = _apply_raw_p(family, tilde, m, a)
-                        if child == a or sum(child) - n > top:
-                            break
-                        want.append((letter_p(family, tilde, m), (child,), sum(child) - n))
+                want = evaluated_moves(a, top)
                 for budget in range(top + 1):
                     got = list(_child_moves_p(a, budget))
                     assert got == [move for move in want if move[2] <= budget], (a, budget)
+
+    def test_nothing_fits_below_the_smallest_increment(self):
+        """300 seeded random compositions of sum <= 12, budgets 0 to 2 above
+        the smallest increment (2 a1 for S0 and S~0, 2 a2 for T0 and T~0
+        where there is a second part): the lister yields nothing exactly
+        below it, and otherwise what the evaluator gives."""
+        rng = make_rng()
+        for _ in range(300):
+            a = random_composition(rng, rng.randint(1, 12))
+            smallest = 2 * min(a[:2])
+            want = evaluated_moves(a, smallest + 2)
+            for budget in range(smallest + 3):
+                got = list(_child_moves_p(a, budget))
+                assert (got == []) == (budget < smallest), (a, budget)
+                assert got == [move for move in want if move[2] <= budget], (a, budget)
 
 
 class TestGenerateDeficiency:

@@ -352,27 +352,52 @@ class TestGenerateDeficiency:
         assert dropped and all(l.family == "T" for l in dropped)
 
 
+def evaluated_moves(plus, minus, top):
+    """Every (letter, child, increment) with increment <= top, from ``_apply_raw``:
+    family and sign in S+, S-, T+, T- order, m rising."""
+    n = sum(plus)
+    want = []
+    for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
+        for m in itertools.count():
+            child = _apply_raw(family, sign, m, plus, minus)
+            if child is None or sum(child[0]) - n > top:
+                break
+            want.append((letter(family, sign, m), child, sum(child[0]) - n))
+    return want
+
+
 class TestListerMatchesEvaluator:
     def test_every_move_is_its_letter_applied(self):
         """Exhaustive over the pairs of sum <= 7 and the budgets 0..12: the
         lister yields, in order, exactly the letters whose increment fits,
         each with the child ``_apply_raw`` gives and the sum difference as
-        its increment; family and sign in S+, S-, T+, T- order, m rising."""
+        its increment."""
         top = 12
         for n in range(1, 8):
             sides = list(iter_compositions(n))
             for plus, minus in itertools.product(sides, sides):
-                want = []
-                for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
-                    for m in itertools.count():
-                        child = _apply_raw(family, sign, m, plus, minus)
-                        if child is None or sum(child[0]) - n > top:
-                            break
-                        want.append((letter(family, sign, m), child, sum(child[0]) - n))
+                want = evaluated_moves(plus, minus, top)
                 for budget in range(top + 1):
                     got = list(_child_moves(plus, minus, budget))
                     assert got == [move for move in want if move[2] <= budget], \
                         (plus, minus, budget)
+
+    def test_nothing_fits_below_the_smallest_increment(self):
+        """300 seeded random pairs of sum <= 12, budgets 0 to 2 above the
+        smallest increment (a1+ and a1- for S+0 and S-0, a2+ and a2- for T+0
+        and T-0 where a side has a second part): the lister yields nothing
+        exactly below it, and otherwise what the evaluator gives."""
+        rng = make_rng()
+        for _ in range(300):
+            a = random_bicomposition(rng, 1, 12)
+            plus, minus = a.plus.parts, a.minus.parts
+            smallest = min(plus[:2] + minus[:2])
+            want = evaluated_moves(plus, minus, smallest + 2)
+            for budget in range(smallest + 3):
+                got = list(_child_moves(plus, minus, budget))
+                assert (got == []) == (budget < smallest), (plus, minus, budget)
+                assert got == [move for move in want if move[2] <= budget], \
+                    (plus, minus, budget)
 
 
 class TestSearchOrder:
