@@ -5,9 +5,13 @@ p parts (total parts, for pairs):
 
 * ``brute_table`` enumerates the compositions (or pairs) with exactly two
   odd parts in total, the only ones whose meander graph can be one path,
-  keeps one per side-swap or reversal orbit and drops the pairs whose
-  sides share a proper partial sum, and walks each graph that is left to
-  see whether it is (``table --method brute``);
+  keeps one per orbit of the group generated by the side swap and the
+  reversal of both sides, counted with the orbit's size (1, 2 or 4),
+  drops the pairs whose sides share a proper partial sum, and drops the
+  compositions with partial sums s < n/2 and n - s: the block (n) maps
+  [0, s) and [n - s, n), unions of top blocks, onto each other, so their
+  union and the nonempty [s, n - s) are apart.  It walks each graph that
+  is left to see whether it is one path (``table --method brute``);
 * ``generated_table`` and ``deficiency_table`` tally the free-monoid
   generation, straight from the raw search nodes, in full or pruned to
   deficiency <= t (``table --method generated|deficiency``).  For pairs
@@ -59,9 +63,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-# iter_compositions, component_counts and the generate_* names are not called
-# here; they stay bound because perfbench/tracing.py wraps this module's
-# bindings of them.
+# iter_compositions, component_counts, partner_array and the generate_* names
+# are not called here; they stay bound because perfbench/tracing.py wraps this
+# module's bindings of them.
 from .compositions import iter_compositions  # noqa: F401
 from .meander import component_counts, partner_array, path_size  # noqa: F401
 from .parabolic_words import (  # noqa: F401
@@ -100,28 +104,46 @@ class _Kind:
     def offset(self) -> int:
         return self.epsilon or 0
 
-    def census(self, n: int) -> Iterator[tuple[int, int]]:
+    def census(self, n: int, block: list[list[list[int]]]) -> Iterator[tuple[int, int]]:
         """(counted parts, orbit size) of every Frobenius orbit representative
-        of sum n among the census candidates; see :func:`brute_table`."""
+        of sum n among the census candidates, with ``block`` from
+        :func:`_block_arcs`; see :func:`brute_table`."""
         if self.epsilon is not None:  # one of each composition and its reversal
-            block = partner_array((n,), n)
-            for top, cuts, mirrored, end, parts in _census_sides(n, 2 - n % 2, reversal=True):
-                if cuts <= mirrored and path_size(top, block, end) == n:
+            bottom = block[0][n]
+            for top, cuts, mirrored, end, parts in _census_sides(
+                    n, 2 - n % 2, block, reversal_representatives=True,
+                    skip_mirrored_cuts=True):
+                if cuts <= mirrored and path_size(top, bottom, end) == n:
                     yield parts, 1 if cuts == mirrored else 2
-        elif n % 2:  # (1, 1) odd parts: each unordered pair once
-            sides = [(tuple(side), cuts, end, parts)
-                     for side, cuts, _, end, parts in _census_sides(n, 1)]
-            for i, (top, cuts, end, top_parts) in enumerate(sides):
-                for bottom in sides[i:]:
-                    if not cuts & bottom[1] and path_size(top, bottom[0], end) == n:
-                        yield top_parts + bottom[3], 1 if bottom is sides[i] else 2
+        elif n % 2:  # (1, 1) odd parts: each unordered pair {x, y} once per orbit
+            sides = sorted((cuts, mirrored, tuple(side), end, parts)
+                           for side, cuts, mirrored, end, parts in _census_sides(n, 1, block))
+            for i, (cuts, mirrored, top, end, top_parts) in enumerate(sides):
+                if cuts > mirrored:  # x leads the sorted cut pair, so cuts <= mirrored
+                    continue
+                for bottom_cuts, bottom_mirrored, bottom, _, parts in sides[i:]:
+                    if cuts & bottom_cuts:
+                        continue
+                    pair = (cuts, bottom_cuts)  # sorted, as sides is
+                    mirror = ((mirrored, bottom_mirrored) if mirrored <= bottom_mirrored
+                              else (bottom_mirrored, mirrored))
+                    if pair <= mirror and path_size(top, bottom, end) == n:
+                        yield top_parts + parts, ((1 if bottom_cuts == cuts else 2)
+                                                  * (1 if pair == mirror else 2))
         else:  # (0, 2) odd parts, each standing for its (2, 0) swap too
-            bottoms = [(tuple(bottom), cuts, end, parts)
-                       for bottom, cuts, _, end, parts in _census_sides(n, 2)]
-            for top, cuts, _, _, top_parts in _census_sides(n, 0):
-                for bottom, bottom_cuts, end, parts in bottoms:
+            bottoms = [(tuple(bottom), cuts, mirrored, end, parts)
+                       for bottom, cuts, mirrored, end, parts in _census_sides(n, 2, block)]
+            bottom_representatives = [side for side in bottoms if side[1] <= side[2]]
+            for top, cuts, mirrored, _, top_parts in _census_sides(
+                    n, 0, block, reversal_representatives=True):
+                if cuts > mirrored:
+                    continue
+                palindrome = cuts == mirrored
+                for bottom, bottom_cuts, bottom_mirrored, end, parts in (
+                        bottom_representatives if palindrome else bottoms):
                     if not cuts & bottom_cuts and path_size(top, bottom, end) == n:
-                        yield top_parts + parts, 2
+                        yield top_parts + parts, (
+                            2 if palindrome and bottom_cuts == bottom_mirrored else 4)
 
     def sum_at(self, k: int) -> int:
         """The sum unit*k + eps at index k of a diagonal."""
@@ -193,12 +215,27 @@ def _kind(name: str) -> _Kind:
     raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
 
 
+def _block_arcs(n_max: int) -> list[list[list[int]]]:
+    """block[lo][size]: the partners of positions lo..lo+size-1 under one block
+    of that size placed at lo, its bare middle vertex -1, for lo + size <=
+    n_max.  An entry depends on lo and size alone, so one table serves every
+    sum up to n_max."""
+    block = [[list(range(lo + size - 1, lo - 1, -1)) for size in range(n_max - lo + 1)]
+             for lo in range(n_max + 1)]
+    for row in block:
+        for size in range(1, len(row), 2):
+            row[size][size // 2] = -1
+    return block
+
+
 def _census_sides(
-    n: int, odd: int, reversal: bool = False
+    n: int, odd: int, block: list[list[list[int]]],
+    reversal_representatives: bool = False, skip_mirrored_cuts: bool = False,
 ) -> Iterator[tuple[list[int], int, int, int, int]]:
     """The compositions of ``n`` with exactly ``odd`` odd parts, in the order of
     :func:`~seaweeds.compositions.iter_compositions_odd`, as
-    (partners, cuts, mirrored, end, parts).
+    (partners, cuts, mirrored, end, parts); ``block`` is a
+    :func:`_block_arcs` table for a sum of at least n.
 
     One explicit-stack walk writes each block's arcs into the one list
     ``partners`` as the block is placed, so a prefix shared by many
@@ -210,33 +247,38 @@ def _census_sides(
     the number of parts.
 
     A part is placed only when the odd parts still owed fit in what is left
-    after it, so without ``reversal`` no branch is a dead end.  With
-    ``reversal`` the last part must also be at least the first, and a part
-    that is not the last must leave at least that much.  This skips only
-    compositions with ``cuts > mirrored``, which do not represent their
-    reversal orbit.  A branch can then die without a yield, when the odd
-    parts it still owes leave no room for a last part that large.
+    after it, so with neither option no branch is a dead end.
+
+    ``reversal_representatives``: the last part must be at least the
+    first, and a part that is not the last must leave at least that much.
+    This skips only compositions with ``cuts > mirrored``, which do not
+    represent their reversal orbit.  A branch can then die without a
+    yield, when the odd parts it still owes leave no room for a last part
+    that large.
+
+    ``skip_mirrored_cuts``: skip every composition with a proper partial
+    sum s != n/2 whose mirror n - s is a partial sum too; against the
+    block (n) none of them is one path (see :func:`brute_table`).  Both
+    cuts are known once the part ending at the larger one is placed, so
+    that prefix's whole subtree is dropped.
     """
     if odd < 0 or odd > n or (n - odd) % 2:
         return
-    # block[lo][size]: the partners of positions lo.., bare middle vertex -1
-    block = [[list(range(lo + size - 1, lo - 1, -1)) for size in range(n - lo + 1)]
-             for lo in range(n + 1)]
-    for row in block:
-        for size in range(1, len(row), 2):
-            row[size][size // 2] = -1
     partners = [-1] * n
     # any first size leaves room for the odd parts owed: up to n - odd + 1
     # while one is owed, else the even sizes; floor is the smallest last part
-    stack = [(0, size, odd - (size & 1), 0, 0, -1, 1, size if reversal else 1)
+    stack = [(0, size, odd - (size & 1), 0, 0, -1, 1, size if reversal_representatives else 1)
              for size in (range(n - odd + 1, 0, -1) if odd else range(n, 0, -2))]
     while stack:
         lo, size, left, cuts, mirrored, end, parts, floor = stack.pop()
         hi = lo + size
+        rest = n - hi
+        # a new cut hi > n/2 meets its mirror rest when rest is already a cut
+        if skip_mirrored_cuts and 0 < rest < hi and cuts >> (rest - 1) & 1:
+            continue
         partners[lo:hi] = block[lo][size]
         if size & 1 and end < 0:
             end = lo + size // 2
-        rest = n - hi
         if not rest:
             yield partners, cuts, mirrored, end, parts
             continue
@@ -296,23 +338,44 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     Frobenius exactly when the walk from the bare middle vertex of its
     first odd block covers all n vertices.
 
-    Two more lemmas thin the candidates, and each one left gets exactly
+    Three more lemmas thin the candidates, and each one left gets exactly
     one such walk:
 
     * Swapping the two sides of a pair, or reversing both sides, gives the
       same graph up to mirroring, with the same number of parts.  So one
-      candidate per orbit is walked and counted with the orbit's size:
-      for an even sum the (0, 2) pairs twice and the (2, 0) pairs not at
-      all; for an odd sum each unordered (1, 1) pair once, twice when its
-      sides differ; for a composition against (n) one of it and its
-      reversal, twice unless it is a palindrome.
+      candidate per orbit of the group they generate is walked and counted
+      with the orbit's size.  Cuts order the sides: ``cuts`` is the
+      bitmask of a side's proper partial sums, ``mirrored`` that of its
+      reversal, and a side is a palindrome exactly when the two are equal.
+
+      - Even sum: the (2, 0) pairs are the swaps of the (0, 2) ones.  A
+        top with ``cuts < mirrored`` takes every bottom and counts 4; a
+        palindromic top takes the bottoms with ``cuts <= mirrored`` and
+        counts 4, or 2 when the bottom is a palindrome too (reversal then
+        fixes the pair).
+      - Odd sum: the unordered (1, 1) pair {x, y} is walked when its
+        sorted cut pair is at most its sorted mirrored pair, and counts
+        (1 if x is y else 2) * (1 if the two sorted pairs are equal
+        else 2).
+      - A composition against (n): one of it and its reversal, twice
+        unless it is a palindrome.
     * No arc crosses a proper partial sum that both sides share, so such a
       pair has at least two components.  A pair is walked only when the
       cut bitmasks of its sides are disjoint.
+    * Mirrored cuts, against (n) only: the block (n) joins i and n - 1 - i.
+      If s < n/2 and n - s are both partial sums of the top, then
+      [0, s) and [n - s, n) are unions of top blocks, and the bottom arcs
+      swap them, so their union is a union of components; so is its
+      nonempty complement [s, n - s), and the graph is not one path.  In
+      bits, ``cuts & mirrored`` is nonzero once bit n/2 - 1 is cleared for
+      an even n.  Both cuts are known once the part ending at n - s is
+      placed, so :func:`_census_sides` drops that prefix's whole subtree.
+      This leaves 269 of the 576 composition orbits at n = 14.
 
     The sides come from :func:`_census_sides`, which writes each block's
-    arcs in place as it is placed.  The seaweed kind is budgeted at
-    n_max <= 18 unless overridden, the parabolic kinds at 24.
+    arcs in place as it is placed, from one :func:`_block_arcs` table built
+    for n_max.  The seaweed kind is budgeted at n_max <= 18 unless
+    overridden, the parabolic kinds at 24.
     """
     spec = _kind(kind)
     budget = SEAWEED_BRUTE_BUDGET if spec.epsilon is None else PARABOLIC_BRUTE_BUDGET
@@ -322,8 +385,9 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
             f"pass budget_override to force"
         )
     entries: dict[tuple[int, int], int] = {}
+    block = _block_arcs(n_max)
     for n in range(spec.first_sum, n_max + 1, spec.unit):
-        for parts, weight in spec.census(n):
+        for parts, weight in spec.census(n, block):
             entries[n, parts] = entries.get((n, parts), 0) + weight
     return CountTable(kind=kind, method="brute", entries=entries)
 

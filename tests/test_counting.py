@@ -89,49 +89,93 @@ class TestBruteTable:
         real = counting.path_size
         monkeypatch.setattr(counting, "path_size", lambda *args: walks.append(1) or real(*args))
 
-        def cut_free(a, b):
-            return not set(accumulate(a[:-1])) & set(accumulate(b[:-1]))
-
         def odd(n, k):
             return list(iter_compositions_odd(n, k))
 
+        def orbit(a, b):  # under the side swap and reversing both sides
+            return frozenset({(a, b), (b, a), (a[::-1], b[::-1]), (b[::-1], a[::-1])})
+
         expected = 0
         for n in range(1, 10):
-            if n % 2:  # unordered pairs of one-odd-part sides
-                comps = odd(n, 1)
-                expected += sum(cut_free(a, b) for i, a in enumerate(comps) for b in comps[i:])
-            else:  # one side without odd parts, the other with two
-                expected += sum(cut_free(a, b) for a in odd(n, 0) for b in odd(n, 2))
+            if n % 2:  # both sides with one odd part
+                candidates = [(a, b) for a in odd(n, 1) for b in odd(n, 1)]
+            else:  # the (2, 0) pairs are the swaps of these (0, 2) ones
+                candidates = [(a, b) for a in odd(n, 0) for b in odd(n, 2)]
+            expected += len({orbit(a, b) for a, b in candidates
+                             if not cut_sums(a) & cut_sums(b)})
+        assert expected == 511  # by the side swap alone, 957
         brute_table("seaweed", 9)
         assert len(walks) == expected
         for kind in ("parabolic-even", "parabolic-odd"):
             walks.clear()
             brute_table(kind, 16 - (kind == "parabolic-odd"))
             first = counting._kind(kind).first_sum
-            assert len(walks) == sum(c <= c[::-1] for n in range(first, 17, 2)
+            assert len(walks) == sum(c <= c[::-1] and not has_mirrored_cut(c)
+                                     for n in range(first, 17, 2)
                                      for c in odd(n, 2 - n % 2)), kind
+
+
+def cut_sums(c):
+    """The proper partial sums of a composition."""
+    return set(accumulate(c[:-1]))
+
+
+def has_mirrored_cut(c):
+    """Some proper partial sum s != n/2 of ``c`` has n - s as a partial sum too."""
+    n, sums = sum(c), cut_sums(c)
+    return any(n - s in sums for s in sums if 2 * s != n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_mirrored_cuts_split_the_graph_against_the_block(n):
+    """The lemma behind skip_mirrored_cuts, against the union-find oracle:
+    [0, s) and [n - s, n) are unions of top blocks swapped by the block (n),
+    so they and the middle [s, n - s) are apart."""
+    block = partner_array((n,), n)
+    for c in iter_compositions(n):
+        if has_mirrored_cut(c):
+            assert sum(component_counts(partner_array(c, n), block)) > 1, c
+
+
+def test_mirrored_cut_lemma_is_not_vacuous():
+    representatives = [c for c in iter_compositions_odd(14, 2) if c <= c[::-1]]
+    assert len(representatives) == 576
+    assert sum(not has_mirrored_cut(c) for c in representatives) == 269
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_census_sides_are_the_compositions_with_their_arcs(n):
     """The in-place walk yields, in order, what iter_compositions_odd gives,
-    dressed as (partners, cuts, mirrored cuts, first odd middle, parts)."""
-    for k in range(4):
-        comps = list(iter_compositions_odd(n, k))
-        want = []
-        for c in comps:
-            sums = list(accumulate(c[:-1]))
-            odd_at = [i for i, a in enumerate(c) if a % 2]
-            end = sum(c[:odd_at[0]]) + c[odd_at[0]] // 2 if odd_at else -1
-            want.append((partner_array(c, n), sum(1 << (s - 1) for s in sums),
-                         sum(1 << (n - s - 1) for s in sums), end, len(c)))
-        got = [(tuple(p), *rest) for p, *rest in counting._census_sides(n, k)]
-        assert got == want, (n, k)
-        kept = [(tuple(p), *rest) for p, *rest in counting._census_sides(n, k, reversal=True)]
-        assert kept == [w for w, c in zip(want, comps) if c[-1] >= c[0]], (n, k)
-        # what the reversal walk skips is never a representative, cuts <= mirrored
-        assert all(cuts > mirrored for (_, cuts, mirrored, _, _), c in zip(want, comps)
-                   if c[-1] < c[0])
+    dressed as (partners, cuts, mirrored cuts, first odd middle, parts),
+    with the arcs from a block table for this sum or a larger one."""
+    for block in (counting._block_arcs(n), counting._block_arcs(11)):
+        for k in range(4):
+            comps = list(iter_compositions_odd(n, k))
+            want = []
+            for c in comps:
+                sums = list(accumulate(c[:-1]))
+                odd_at = [i for i, a in enumerate(c) if a % 2]
+                end = sum(c[:odd_at[0]]) + c[odd_at[0]] // 2 if odd_at else -1
+                want.append((partner_array(c, n), sum(1 << (s - 1) for s in sums),
+                             sum(1 << (n - s - 1) for s in sums), end, len(c)))
+            for reversal in (False, True):
+                for skip in (False, True):
+                    got = [(tuple(p), *rest) for p, *rest in counting._census_sides(
+                        n, k, block, reversal_representatives=reversal,
+                        skip_mirrored_cuts=skip)]
+                    # the reversal walk keeps the last part at least the first;
+                    # the skip drops every composition with a mirrored cut
+                    assert got == [w for w, c in zip(want, comps)
+                                   if not (reversal and c[-1] < c[0])
+                                   and not (skip and has_mirrored_cut(c))], (n, k)
+            # what the census walk skips is never a Frobenius representative:
+            # not one with cuts <= mirrored, or not one path against (n)
+            bottom = partner_array((n,), n)
+            for (top, cuts, mirrored, _, _), c in zip(want, comps):
+                if c[-1] < c[0]:
+                    assert cuts > mirrored, c
+                elif has_mirrored_cut(c):
+                    assert component_counts(top, bottom) != (0, 1), c
 
 
 class TestOracleEquivalence:
