@@ -18,9 +18,11 @@ p parts (total parts, for pairs):
   the search walks the seed and the half below its S+ children, and
   every other node counts twice: the minus letters are the plus letters
   conjugated by the side swap, so the S- half is the mirror image of the
-  S+ half, with the same sums and part counts.  Each node walked enters
-  the seen-set with its mirror, so a repeat in either half still raises.
-  ``generate`` streams every node with its word, so it walks all of it;
+  S+ half, with the same sums and part counts.  Each node walked below
+  the seed's children enters the seen-set with its swap, so a repeat in
+  either half still raises.  Every search starts at the kind's seed and
+  reads its sum off the seed's first side.  ``generate`` streams every
+  node with its word, so it walks all of it;
 * ``diagonal_counts`` counts the deficiency diagonals without
   enumerating them: by the truncation lemma, a node at deficiency d
   under bound t has a subtree that reads only its first t - d + 1 parts
@@ -72,8 +74,7 @@ from .parabolic_words import (  # noqa: F401
     _SEEDS_RAW, _child_moves_p, generate_deficiency_p, generate_frobenius_p,
 )
 from .seaweed_words import (  # noqa: F401
-    _SEED_RAW, _check_bounds, _child_moves, _search, _swap_sides, generate_deficiency,
-    generate_frobenius,
+    _SEED_RAW, _check_bounds, _child_moves, _search, generate_deficiency, generate_frobenius,
 )
 
 SEAWEED_BRUTE_BUDGET = 18
@@ -107,42 +108,46 @@ class _Kind:
     def census(self, n: int, block: list[list[list[int]]]) -> Iterator[tuple[int, int]]:
         """(counted parts, orbit size) of every Frobenius orbit representative
         of sum n among the census candidates, with ``block`` from
-        :func:`_block_arcs`; see :func:`brute_table`."""
+        :func:`_block_arcs`; see :func:`brute_table`.  Only a candidate
+        that passes the cut tests gets its path end, the first bare vertex
+        of a side with an odd part, and its part count, one more than its
+        cuts per side (a pair's sides share none)."""
         if self.epsilon is not None:  # one of each composition and its reversal
             bottom = block[0][n]
-            for top, cuts, mirrored, end, parts in _census_sides(
+            for top, cuts, mirrored in _census_sides(
                     n, 2 - n % 2, block, reversal_representatives=True,
                     skip_mirrored_cuts=True):
-                if cuts <= mirrored and path_size(top, bottom, end) == n:
-                    yield parts, 1 if cuts == mirrored else 2
+                if cuts <= mirrored and path_size(top, bottom, top.index(-1)) == n:
+                    yield cuts.bit_count() + 1, 1 if cuts == mirrored else 2
         elif n % 2:  # (1, 1) odd parts: each unordered pair {x, y} once per orbit
-            sides = sorted((cuts, mirrored, tuple(side), end, parts)
-                           for side, cuts, mirrored, end, parts in _census_sides(n, 1, block))
-            for i, (cuts, mirrored, top, end, top_parts) in enumerate(sides):
+            sides = sorted((cuts, mirrored, tuple(side))
+                           for side, cuts, mirrored in _census_sides(n, 1, block))
+            for i, (cuts, mirrored, top) in enumerate(sides):
                 if cuts > mirrored:  # x leads the sorted cut pair, so cuts <= mirrored
                     continue
-                for bottom_cuts, bottom_mirrored, bottom, _, parts in sides[i:]:
+                for bottom_cuts, bottom_mirrored, bottom in sides[i:]:
                     if cuts & bottom_cuts:
                         continue
                     pair = (cuts, bottom_cuts)  # sorted, as sides is
                     mirror = ((mirrored, bottom_mirrored) if mirrored <= bottom_mirrored
                               else (bottom_mirrored, mirrored))
-                    if pair <= mirror and path_size(top, bottom, end) == n:
-                        yield top_parts + parts, ((1 if bottom_cuts == cuts else 2)
-                                                  * (1 if pair == mirror else 2))
+                    if pair <= mirror and path_size(top, bottom, top.index(-1)) == n:
+                        yield (cuts | bottom_cuts).bit_count() + 2, (
+                            (1 if bottom_cuts == cuts else 2) * (1 if pair == mirror else 2))
         else:  # (0, 2) odd parts, each standing for its (2, 0) swap too
-            bottoms = [(tuple(bottom), cuts, mirrored, end, parts)
-                       for bottom, cuts, mirrored, end, parts in _census_sides(n, 2, block)]
+            bottoms = [(tuple(bottom), cuts, mirrored)
+                       for bottom, cuts, mirrored in _census_sides(n, 2, block)]
             bottom_representatives = [side for side in bottoms if side[1] <= side[2]]
-            for top, cuts, mirrored, _, top_parts in _census_sides(
+            for top, cuts, mirrored in _census_sides(
                     n, 0, block, reversal_representatives=True):
                 if cuts > mirrored:
                     continue
                 palindrome = cuts == mirrored
-                for bottom, bottom_cuts, bottom_mirrored, end, parts in (
+                for bottom, bottom_cuts, bottom_mirrored in (
                         bottom_representatives if palindrome else bottoms):
-                    if not cuts & bottom_cuts and path_size(top, bottom, end) == n:
-                        yield top_parts + parts, (
+                    if (not cuts & bottom_cuts
+                            and path_size(top, bottom, bottom.index(-1)) == n):
+                        yield (cuts | bottom_cuts).bit_count() + 2, (
                             2 if palindrome and bottom_cuts == bottom_mirrored else 4)
 
     def sum_at(self, k: int) -> int:
@@ -158,11 +163,12 @@ class _Kind:
         """The smallest sum counted: 1, 2 and 3; the odd seed (1) is not counted."""
         return self.unit + self.offset
 
-    def root(self) -> tuple[tuple, int, Callable]:
-        """(seed state, its sum, child moves) of the kind's search."""
+    def root(self) -> tuple[tuple, Callable]:
+        """(seed state, child moves) of the kind's search; the seed's sum is
+        that of its first side."""
         if self.epsilon is None:
-            return _SEED_RAW, 1, _child_moves
-        return (_SEEDS_RAW[self.epsilon],), 2 - self.epsilon, _child_moves_p
+            return _SEED_RAW, _child_moves
+        return (_SEEDS_RAW[self.epsilon],), _child_moves_p
 
     def truncate(self, state: tuple, keep: int) -> tuple:
         """The parts of ``state`` a subtree can still read: the first ``keep``
@@ -181,26 +187,21 @@ class _Kind:
         (a,) = state
         return state if len(a) <= 2 * keep else (a[:keep] + a[-keep:],)
 
-    @property
-    def mirror(self) -> Optional[Callable[[tuple], tuple]]:
-        """The side swap for pairs: the minus letters are the plus letters
-        conjugated by it, so the search below the seed splits into two
-        mirror halves.  None for compositions, which have no such half."""
-        return _swap_sides if self.epsilon is None else None
-
     def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
         """Raw search nodes by (sum, parts); no objects are built.
 
-        With a :attr:`mirror` the search walks the seed and one mirror half
-        (see :func:`~seaweeds.seaweed_words._search`), and every node but
-        the seed is counted twice; its mirror has the same sum and parts."""
-        start, total, moves = self.root()
-        nodes = _search(start, moves, n_max, total, t, self.unit,
-                        emit_start=total >= self.first_sum, mirror=self.mirror)
+        For pairs the search halves by the side swap: it walks the seed and
+        the S+ half (see :func:`~seaweeds.seaweed_words._search`), and every
+        node but the seed is counted twice; its swap has the same sum and
+        parts.  Compositions have no such half."""
+        start, moves = self.root()
+        total = sum(start[0])
+        nodes = _search(start, moves, n_max, t, self.unit, emit_start=total >= self.first_sum,
+                        halve=self.epsilon is None)
         if self.epsilon is not None:
             return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
         counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
-        seed = (total, 2)  # the seed (1)|(1) has no mirror twin
+        seed = (total, 2)  # the seed (1)|(1) is its own swap
         return {key: 2 * count - (key == seed) for key, count in counts.items()}
 
 
@@ -231,20 +232,20 @@ def _block_arcs(n_max: int) -> list[list[list[int]]]:
 def _census_sides(
     n: int, odd: int, block: list[list[list[int]]],
     reversal_representatives: bool = False, skip_mirrored_cuts: bool = False,
-) -> Iterator[tuple[list[int], int, int, int, int]]:
+) -> Iterator[tuple[list[int], int, int]]:
     """The compositions of ``n`` with exactly ``odd`` odd parts, in the order of
     :func:`~seaweeds.compositions.iter_compositions_odd`, as
-    (partners, cuts, mirrored, end, parts); ``block`` is a
-    :func:`_block_arcs` table for a sum of at least n.
+    (partners, cuts, mirrored); ``block`` is a :func:`_block_arcs` table
+    for a sum of at least n.
 
     One explicit-stack walk writes each block's arcs into the one list
     ``partners`` as the block is placed, so a prefix shared by many
     compositions is written once.  The list is complete at each yield and
     rewritten after it: a caller that keeps it must copy it.  ``cuts`` has
-    bit s - 1 set for each proper partial sum s, ``mirrored`` bit n - s - 1
-    (the cuts of the reversed composition), ``end`` is the bare middle
-    vertex of the first odd block (-1 when there is none) and ``parts``
-    the number of parts.
+    bit s - 1 set for each proper partial sum s, and ``mirrored`` bit
+    n - s - 1 (the cuts of the reversed composition).  The bare middle
+    vertex of each odd block keeps -1 in ``partners``, and the number of
+    parts is one more than the number of cuts.
 
     A part is placed only when the odd parts still owed fit in what is left
     after it, so with neither option no branch is a dead end.
@@ -267,28 +268,25 @@ def _census_sides(
     partners = [-1] * n
     # any first size leaves room for the odd parts owed: up to n - odd + 1
     # while one is owed, else the even sizes; floor is the smallest last part
-    stack = [(0, size, odd - (size & 1), 0, 0, -1, 1, size if reversal_representatives else 1)
+    stack = [(0, size, odd - (size & 1), 0, 0, size if reversal_representatives else 1)
              for size in (range(n - odd + 1, 0, -1) if odd else range(n, 0, -2))]
     while stack:
-        lo, size, left, cuts, mirrored, end, parts, floor = stack.pop()
+        lo, size, left, cuts, mirrored, floor = stack.pop()
         hi = lo + size
         rest = n - hi
         # a new cut hi > n/2 meets its mirror rest when rest is already a cut
         if skip_mirrored_cuts and 0 < rest < hi and cuts >> (rest - 1) & 1:
             continue
         partners[lo:hi] = block[lo][size]
-        if size & 1 and end < 0:
-            end = lo + size // 2
         if not rest:
-            yield partners, cuts, mirrored, end, parts
+            yield partners, cuts, mirrored
             continue
         cuts |= 1 << (hi - 1)
         mirrored |= 1 << (rest - 1)
-        parts += 1
         if left <= 1 and rest >= floor:  # rest as the last part has the owed parity
-            stack.append((hi, rest, 0, cuts, mirrored, end, parts, floor))
+            stack.append((hi, rest, 0, cuts, mirrored, floor))
         room = rest - floor  # the largest part that is not the last
-        stack += [(hi, size, left - (size & 1), cuts, mirrored, end, parts, floor)
+        stack += [(hi, size, left - (size & 1), cuts, mirrored, floor)
                   for size in (range(min(room, rest - left + 1), 0, -1) if left
                                else range(room - (room & 1), 0, -2))]
 
@@ -392,24 +390,19 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     return CountTable(kind=kind, method="brute", entries=entries)
 
 
-def _tally(kind: str, method: str, n_max: int, t: Optional[int]) -> CountTable:
-    """Tally the raw search nodes by (sum, parts)."""
-    return CountTable(kind=kind, method=method, entries=_kind(kind).tally(n_max, t))
-
-
 def generated_table(kind: str, n_max: int) -> CountTable:
     """Free-monoid generation, tallied by (sum, parts).
 
-    The seaweed search walks one mirror half and counts each node but the
+    The seaweed search walks one swap half and counts each node but the
     seed twice (see :meth:`_Kind.tally`); a repeat in either half raises
     :class:`~seaweeds.seaweed_words.CollisionError`."""
-    return _tally(kind, "generated", n_max, None)
+    return CountTable(kind, "generated", _kind(kind).tally(n_max, None))
 
 
 def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
     """Pruned generation: only objects within deficiency t of the part ceiling,
     tallied like :func:`generated_table`; the side swap keeps deficiencies."""
-    return _tally(kind, "deficiency", n_max, t)
+    return CountTable(kind, "deficiency", _kind(kind).tally(n_max, t))
 
 
 def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
@@ -450,7 +443,8 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     _check_bounds(n_max, t)
     spec = _kind(kind)
     unit, first = spec.unit, spec.first_sum
-    start, total, moves = spec.root()
+    start, moves = spec.root()
+    total = sum(start[0])
     # each (truncated state, deficiency) gets a small int id when first seen,
     # so the levels hash ints, not nested tuples
     nodes = [(start, 0)]

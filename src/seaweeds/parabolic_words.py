@@ -245,8 +245,8 @@ def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iter
     """
     if epsilon not in (0, 1):
         raise ValueError(f"epsilon must be 0 or 1, got {epsilon!r}")
-    return _search((_SEEDS_RAW[epsilon],), _child_moves_p, n_max, 2 - epsilon, t,
-                   unit=2, emit_start=epsilon == 0)
+    return _search((_SEEDS_RAW[epsilon],), _child_moves_p, n_max, t, unit=2,
+                   emit_start=epsilon == 0)
 
 
 def generate_frobenius_p(

@@ -420,11 +420,6 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, in
             yield _T_MINUS(m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
 
 
-def _swap_sides(state: tuple) -> tuple:
-    """The mirror of a pair state: its two sides exchanged."""
-    return state[::-1]
-
-
 def _check_bounds(n_max: int, t: Optional[int]) -> None:
     """Reject a negative deficiency bound or a sum window below 1."""
     if t is not None and t < 0:
@@ -433,20 +428,25 @@ def _check_bounds(n_max: int, t: Optional[int]) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
-def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
-            unit: int = 1, emit_start: bool = True,
-            mirror: Optional[Callable[[tuple], tuple]] = None) -> Iterator[tuple]:
+def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
+            emit_start: bool = True, halve: bool = False) -> Iterator[tuple]:
     """Pre-order depth-first closure of a raw state under operator letters.
 
     A state is a tuple of part tuples, one per side: ``(plus, minus)`` for
     pairs, ``(a,)`` for a single composition.  ``moves(*state, budget)``
     yields ``(letter, child_state, increment)`` for every letter whose sum
     increment fits ``budget``, in a fixed order; children are visited in
-    that order, each subtree before the next sibling.  ``total`` is the
-    sum of ``start``, and nodes with a sum above ``n_max`` are never
-    emitted.  ``emit_start`` decides whether ``start`` itself is emitted.
-    Every increment is at least ``unit``, so a state with less room than
-    that left under ``n_max`` is a leaf and ``moves`` is not called for it.
+    that order, each subtree before the next sibling.  The sum of a state
+    is the sum of its first side (both sides of a pair sum to n), and nodes
+    with a sum above ``n_max`` are never emitted.  ``emit_start`` decides
+    whether ``start`` itself is emitted.  Every increment is at least
+    ``unit``, so a state with less room than that left under ``n_max`` is a
+    leaf and ``moves`` is not called for it.
+
+    The walk is lazy: the stack holds one open listing of ``moves`` per
+    node on the current path, a child is yielded as soon as its listing
+    gives it, and a child with room for a move opens its own listing
+    before its next sibling is listed.  A leaf never touches the stack.
 
     With a deficiency bound ``t`` the walk is pruned on the running
     deficiency, whose step per letter is ``increment // unit - 1``, plus 1
@@ -456,75 +456,75 @@ def _search(start, moves, n_max: int, total: int, t: Optional[int] = None,
 
     Yields nodes ``(state, total, deficiency, letters)``, where ``letters``
     is the word reaching ``state`` from ``start``, leftmost (last-applied)
-    letter first.  Every state is checked against all states reached so
+    letter first.  Every state is checked against all states listed so
     far; a repeat raises :class:`CollisionError`.  The stack is explicit,
     so the depth of the walk is not limited by the interpreter.
 
-    ``mirror``, when given, is a symmetry of the tree: it fixes ``start``,
-    and the moves of ``mirror(state)`` are the moves of ``state`` with
-    every child mirrored, at the same increments and deficiency steps.
-    The children of ``start`` then come in mirror pairs whose subtrees are
-    mirror images, with the same sums, part counts and deficiencies, and
-    only the half under the child of each pair that is not below its
-    mirror is walked (for pairs and the side swap, the S+ half).  Every
-    node but ``start`` then stands for two, so a tally counts it twice.
-    The seen-set holds every child of ``start`` and, below them, every
-    node together with its mirror: that is the state set of the full
-    walk, and a repeat anywhere in it, a node equal to its own mirror
-    included, still raises :class:`CollisionError`.
+    ``halve`` is for pairs from the seed, under the side swap: the minus
+    letters are the plus letters conjugated by it, so the moves of a
+    swapped pair are the swapped moves, at the same increments and
+    deficiency steps.  The children of ``start`` then come in swap pairs
+    whose subtrees are mirror images, with the same sums, part counts and
+    deficiencies, and only the half under the child of each pair that is
+    not below its swap is walked (the S+ half).  Every node but ``start``
+    then stands for two, so a tally counts it twice.  The seen-set holds
+    every child of ``start`` and, below them, every node together with its
+    swap: that is the state set of the full walk, and a repeat anywhere in
+    it, a node equal to its own swap included, still raises
+    :class:`CollisionError`.
     """
     _check_bounds(n_max, t)
+    total = sum(start[0])
     if total > n_max:
         return
-    node = (start, total, 0, ())
     if emit_start:
-        yield node
+        yield start, total, 0, ()
+    room = n_max - total
+    if room < unit:
+        return
     seen = {start}
-    stack: list[tuple] = []
-    while True:
-        state, total, deficit, letters = node
-        room = n_max - total
-        if room >= unit:
-            budget = room if t is None else min(room, unit * (t - deficit + 1))
-            children = []
-            for l, key, inc in moves(*state, budget):
-                if t is None:
-                    child_deficit = 0
-                else:
-                    child_deficit = deficit + inc // unit - 1 + (l.family == "T")
-                    if child_deficit > t:
-                        continue
-                if key in seen:
-                    raise CollisionError(
-                        f"{'|'.join(map(str, key))} reached twice; "
-                        f"second route ends with letter {l}"
-                    )
-                seen.add(key)
-                children.append((key, total + inc, child_deficit, (l,) + letters))
-            if mirror is not None:
-                if letters:  # each node below the start's children stands for its mirror
-                    for child in children:
-                        twin = mirror(child[0])
-                        if twin in seen:
-                            raise CollisionError(
-                                f"{'|'.join(map(str, twin))} reached twice; second route "
-                                f"is the mirror of one ending with letter {child[3][0]}"
-                            )
-                        seen.add(twin)
-                else:  # the half: one child of each mirror pair
-                    children = [child for child in children if child[0] >= mirror(child[0])]
-            children.reverse()
-            stack += children
-        if not stack:
-            return
-        node = stack.pop()
-        yield node
+    stack = [(moves(*start, room if t is None else min(room, unit * (t + 1))), total, 0, ())]
+    while stack:
+        listing, total, deficit, letters = stack[-1]
+        for l, key, inc in listing:
+            if t is None:
+                child_deficit = 0
+            else:
+                child_deficit = deficit + inc // unit - 1 + (l.family == "T")
+                if child_deficit > t:
+                    continue
+            if key in seen:
+                raise CollisionError(
+                    f"{'|'.join(map(str, key))} reached twice; "
+                    f"second route ends with letter {l}"
+                )
+            seen.add(key)
+            if halve:
+                twin = key[::-1]
+                if letters:  # each node below the start's children stands for its swap
+                    if twin in seen:
+                        raise CollisionError(
+                            f"{'|'.join(map(str, twin))} reached twice; second route "
+                            f"is the mirror of one ending with letter {l}"
+                        )
+                    seen.add(twin)
+                elif key < twin:  # the half: one child of each swap pair
+                    continue
+            n, child = total + inc, (l,) + letters
+            yield key, n, child_deficit, child
+            room = n_max - n
+            if room >= unit:
+                budget = room if t is None else min(room, unit * (t - child_deficit + 1))
+                stack.append((moves(*key, budget), n, child_deficit, child))
+                break
+        else:
+            stack.pop()
 
 
 def pair_nodes(n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
     """Raw search nodes of the Frobenius pairs with sum <= n_max (and
     deficiency <= t when given), as :func:`_search` yields them."""
-    return _search(_SEED_RAW, _child_moves, n_max, 1, t)
+    return _search(_SEED_RAW, _child_moves, n_max, t)
 
 
 def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]]:

@@ -263,7 +263,11 @@ class TestGenerate:
         monkeypatch.setattr(sw, "_child_moves", duplicate)
         with pytest.raises(CollisionError):
             main(["generate", "--kind", "seaweed", "--n-max", "3"])
-        assert json.loads(capsys.readouterr().out)["word"] == ""
+        # the seed's record, then its first child's: that child opens its own
+        # listing, which meets the repeat before the seed lists its second
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0])["word"] == ""
+        assert len(lines) == 2
         target = tmp_path / "g.jsonl"
         with pytest.raises(CollisionError):
             main(["generate", "--kind", "seaweed", "--n-max", "3", "--out", str(target)])
@@ -292,6 +296,16 @@ class TestStreamWindow:
         walked = self.traced_peak(cli.pair_nodes(10**12, 0) if eps is None
                                   else cli.composition_nodes(eps, 10**12, 0))
         assert rendered - walked < 2**20, (rendered, walked)
+
+    @pytest.mark.parametrize("eps", [None, 0, 1])
+    def test_unpruned_stream_starts_at_once(self, eps):
+        """The walk opens one listing per node on its path and yields each
+        child as it is listed, so an unpruned window of 10**5 gives its
+        first records without listing the seed's 2 * 10**5 children."""
+        start = time.perf_counter()
+        peak = self.traced_peak(cli._generate_lines(eps, 10**5, None))
+        assert time.perf_counter() - start < 1
+        assert peak < 2 * 2**20, peak
 
 
 class TestTable:

@@ -146,18 +146,17 @@ def test_mirrored_cut_lemma_is_not_vacuous():
 @pytest.mark.parametrize("n", range(1, 12))
 def test_census_sides_are_the_compositions_with_their_arcs(n):
     """The in-place walk yields, in order, what iter_compositions_odd gives,
-    dressed as (partners, cuts, mirrored cuts, first odd middle, parts),
-    with the arcs from a block table for this sum or a larger one."""
+    dressed as (partners, cuts, mirrored cuts), with the arcs from a block
+    table for this sum or a larger one; the first bare vertex is the middle
+    of the first odd part, and one more than the cuts is the part count."""
     for block in (counting._block_arcs(n), counting._block_arcs(11)):
         for k in range(4):
             comps = list(iter_compositions_odd(n, k))
-            want = []
+            want = {}
             for c in comps:
                 sums = list(accumulate(c[:-1]))
-                odd_at = [i for i, a in enumerate(c) if a % 2]
-                end = sum(c[:odd_at[0]]) + c[odd_at[0]] // 2 if odd_at else -1
-                want.append((partner_array(c, n), sum(1 << (s - 1) for s in sums),
-                             sum(1 << (n - s - 1) for s in sums), end, len(c)))
+                want[c] = (partner_array(c, n), sum(1 << (s - 1) for s in sums),
+                           sum(1 << (n - s - 1) for s in sums))
             for reversal in (False, True):
                 for skip in (False, True):
                     got = [(tuple(p), *rest) for p, *rest in counting._census_sides(
@@ -165,13 +164,18 @@ def test_census_sides_are_the_compositions_with_their_arcs(n):
                         skip_mirrored_cuts=skip)]
                     # the reversal walk keeps the last part at least the first;
                     # the skip drops every composition with a mirrored cut
-                    assert got == [w for w, c in zip(want, comps)
-                                   if not (reversal and c[-1] < c[0])
-                                   and not (skip and has_mirrored_cut(c))], (n, k)
+                    kept = [c for c in comps if not (reversal and c[-1] < c[0])
+                            and not (skip and has_mirrored_cut(c))]
+                    assert got == [want[c] for c in kept], (n, k)
+                    for (partners, cuts, _), c in zip(got, kept):
+                        if k:
+                            first = next(i for i, a in enumerate(c) if a % 2)
+                            assert partners.index(-1) == sum(c[:first]) + c[first] // 2, c
+                        assert cuts.bit_count() + 1 == len(c), c
             # what the census walk skips is never a Frobenius representative:
             # not one with cuts <= mirrored, or not one path against (n)
             bottom = partner_array((n,), n)
-            for (top, cuts, mirrored, _, _), c in zip(want, comps):
+            for c, (top, cuts, mirrored) in want.items():
                 if c[-1] < c[0]:
                     assert cuts > mirrored, c
                 elif has_mirrored_cut(c):
@@ -404,6 +408,9 @@ class TestHalfWalk:
                      id="across-halves"),
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((3, 3), (3, 3)), 2)]}),
                      id="own-swap"),
+        # the seed's S+3 child, listed after the S+0 subtree that holds _DEEP
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((5,), (4, 1)), 1)]}),
+                     id="later-root-sibling"),
     ])
     def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister):
         monkeypatch.setattr(counting, "_child_moves", lister)
