@@ -18,15 +18,23 @@ p parts (total parts, for pairs):
   the search walks the seed and the half below its S+ children, and
   every other node counts twice: the minus letters are the plus letters
   conjugated by the side swap, so the S- half is the mirror image of the
-  S+ half, with the same sums and part counts.  Each node walked below
-  the seed's children enters the seen-set with its swap, so a repeat in
-  either half still raises.  Every search starts at the kind's seed and
-  reads its sum off the seed's first side.  ``generate`` streams every
-  node with its word, so it walks all of it;
+  S+ half, with the same sums and part counts.  The seen-set holds the
+  walked nodes and the seed's children; below those children each node
+  is checked with its swap as well, though no swap enters the set.  A
+  repeat in either half still raises: a node that is the swap of another
+  walked one is found by the swap check of the later of the two, or, if
+  the other is a child of the seed, is itself one (those children come
+  in swap pairs) and is listed twice.  Every search starts at the kind's
+  seed and reads its sum off the seed's first side.  ``generate``
+  streams every node with its word, so it walks all of it;
 * ``diagonal_counts`` counts the deficiency diagonals without
-  enumerating them: by the truncation lemma, a node at deficiency d
-  under bound t has a subtree that reads only its first t - d + 1 parts
-  per side, so the pruned search collapses to a sum-by-sum count over
+  enumerating them: by the truncation lemma, a node with deficiency
+  budget r = t - d left has a subtree that reads only the parts it can
+  afford.  An S letter spends (m+1)*a1 - 1 of the budget and a T letter
+  m*a1 + (m+1)*a2 >= a2, so a first part is capped at r + 2, and the
+  parts after it are kept while their running sum stays <= r (from both
+  ends of a composition, with one wall part r + 1 for the dropped
+  middle).  The pruned search then collapses to a sum-by-sum count over
   truncated states.  A truncated pair and its side swap are one state:
   the swap mirrors every move and keeps its increment and family, so the
   two subtrees have the same sums and deficiencies.  One count with bound
@@ -63,7 +71,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # iter_compositions, component_counts, partner_array and the generate_* names
 # are not called here; they stay bound because perfbench/tracing.py wraps this
@@ -170,10 +178,14 @@ class _Kind:
             return _SEED_RAW, _child_moves
         return (_SEEDS_RAW[self.epsilon],), _child_moves_p
 
-    def truncate(self, state: tuple, keep: int) -> tuple:
-        """The parts of ``state`` a subtree can still read: the first ``keep``
-        of each side of a pair, the first and last ``keep`` of a composition
-        (a tilde letter reverses it).
+    def truncate(self, state: tuple, r: int) -> tuple:
+        """The parts of ``state`` a subtree with deficiency budget ``r`` can
+        still read (see :func:`diagonal_counts` for the lemma): the first
+        part capped at r + 2, and after it the parts of a side while their
+        running sum stays <= r.  A composition is read from both ends (a
+        tilde letter brings its last part to second place), and one wall
+        part r + 1, which neither end can read across, stands for a
+        dropped middle.
 
         A pair comes back with its sides in a canonical order, so a pair and
         its side swap are one state of :func:`diagonal_counts` (its swap
@@ -181,11 +193,14 @@ class _Kind:
         composition's moves (an S letter reads its first part, not its
         last), so compositions keep their order."""
         if self.epsilon is None:
-            plus, minus = state
-            plus, minus = plus[:keep], minus[:keep]
+            plus, minus = (_readable_side(side, r) for side in state)
             return (plus, minus) if plus <= minus else (minus, plus)
         (a,) = state
-        return state if len(a) <= 2 * keep else (a[:keep] + a[-keep:],)
+        front = 1 + _affordable(a[1:], r)  # a[front:back] is the unread middle
+        back = len(a) - _affordable(a[:0:-1], r)
+        if front >= back:
+            return state if a[0] <= r + 2 else ((r + 2,) + a[1:],)
+        return ((min(a[0], r + 2),) + a[1:front] + (r + 1,) + a[back:],)
 
     def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
         """Raw search nodes by (sum, parts); no objects are built.
@@ -214,6 +229,28 @@ def _kind(name: str) -> _Kind:
         if kind.name == name:
             return kind
     raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
+
+
+def _affordable(parts: Iterable[int], r: int) -> int:
+    """How many of ``parts``, in order, keep their running sum <= ``r``: T
+    letters on one side read its parts after the first one by one, each at a
+    deficiency cost of at least the part it reads."""
+    count = 0
+    for part in parts:
+        r -= part
+        if r < 0:
+            break
+        count += 1
+    return count
+
+
+def _readable_side(side: tuple, r: int) -> tuple:
+    """One side of a pair as a subtree with budget ``r`` reads it: the first
+    part capped at r + 2, then the parts while their running sum is <= r."""
+    depth = 1 + _affordable(side[1:], r)
+    if side[0] <= r + 2:
+        return side if depth == len(side) else side[:depth]
+    return (r + 2,) + side[1:depth]
 
 
 def _block_arcs(n_max: int) -> list[list[list[int]]]:
@@ -260,8 +297,8 @@ def _census_sides(
     ``skip_mirrored_cuts``: skip every composition with a proper partial
     sum s != n/2 whose mirror n - s is a partial sum too; against the
     block (n) none of them is one path (see :func:`brute_table`).  Both
-    cuts are known once the part ending at the larger one is placed, so
-    that prefix's whole subtree is dropped.
+    cuts are known once the part ending at the larger one is chosen, so
+    that part is never pushed and the prefix's whole subtree is dropped.
     """
     if odd < 0 or odd > n or (n - odd) % 2:
         return
@@ -274,9 +311,6 @@ def _census_sides(
         lo, size, left, cuts, mirrored, floor = stack.pop()
         hi = lo + size
         rest = n - hi
-        # a new cut hi > n/2 meets its mirror rest when rest is already a cut
-        if skip_mirrored_cuts and 0 < rest < hi and cuts >> (rest - 1) & 1:
-            continue
         partners[lo:hi] = block[lo][size]
         if not rest:
             yield partners, cuts, mirrored
@@ -286,9 +320,13 @@ def _census_sides(
         if left <= 1 and rest >= floor:  # rest as the last part has the owed parity
             stack.append((hi, rest, 0, cuts, mirrored, floor))
         room = rest - floor  # the largest part that is not the last
+        # a part that is not the last makes a new cut hi + size, whose mirror
+        # rest - size >= floor > 0; past n/2, that mirror may be a cut already
         stack += [(hi, size, left - (size & 1), cuts, mirrored, floor)
                   for size in (range(min(room, rest - left + 1), 0, -1) if left
-                               else range(room - (room & 1), 0, -2))]
+                               else range(room - (room & 1), 0, -2))
+                  if not (skip_mirrored_cuts and rest - size < hi + size
+                          and cuts >> (rest - size - 1) & 1)]
 
 
 @dataclass(frozen=True)
@@ -409,22 +447,36 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     """Objects of every deficiency d <= t, by d and then by sum n <= n_max,
     counted without enumerating them; a diagonal with no object is absent.
 
-    Truncation lemma: a node at deficiency d < t has a subtree that reads
-    no more than the first t - d + 1 parts of each side of a pair, or the
-    first and last t - d + 1 parts of a composition (a tilde letter
-    reverses it).  An S letter reads the first part only; a T letter
-    reads the first two and raises the deficiency by at least 1, so at
-    most t - d of them follow, and the j-th one on a side reads the part
-    at depth j.  At d = t no T letter fits, and one part per side is kept.
+    Truncation lemma: a node at deficiency d has the budget r = t - d
+    left, and each letter spends its deficiency step, (m+1)*a1 - 1 for an
+    S letter and m*a1 + (m+1)*a2 >= a2 for a T letter, for pairs and
+    compositions alike.  So its subtree reads only these parts
+    (:meth:`_Kind.truncate`):
+
+    * First part: an S letter fits only when a1 <= r + 1, so a1 is
+      capped at r + 2.  A larger a1 changes no fitting move, and no child
+      can read it: a first part built from it stays above the child's
+      cap, and pushed to depth 2 it exceeds the child's budget.
+    * Deeper parts of a side: a part at depth j >= 2 is read only as the
+      a2 of a T letter on its own side, after that side's T letters have
+      consumed every part in front of it, at a cost of at least
+      a2 + ... + aj.  Letters on the other side only push parts deeper.
+      So parts are kept while their running sum from a2 stays <= r.
+    * Compositions: a tilde letter brings the last part to depth 2, so
+      the same running-sum rule applies from the back
+      (ak + ak-1 + ... <= r).  One wall part of value r + 1 replaces a
+      dropped middle, so that neither end can read across it.
+    * The budget only shrinks: r never grows along a path, so a dropped
+      part never becomes readable again, and a wall stays unreadable.
 
     Swap lemma: the minus letters are the plus letters conjugated by the
     side swap, so the moves of a swapped pair are the mirrored moves, with
     the same increments and families, and truncation commutes with the
     swap.  A pair and its swap therefore have subtrees with the same sums
     and deficiencies, and :meth:`_Kind.truncate` puts a pair's sides in a
-    canonical order.  This halves the seaweed states (233, 1,447 and
-    7,851 for t <= 4, 6 and 8); the seed is the only pair equal to its
-    swap.
+    canonical order.  The seaweed states number 64, 246, 814 and 2,386
+    for t <= 4, 6, 8 and 10; without the merge a state and its swap count
+    twice unless they are equal.
 
     Nodes are therefore kept truncated and merged, with multiplicities,
     per (truncated state, deficiency).  Each level of equal sum is popped
@@ -465,8 +517,7 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
                 for l, child, inc in moves(*state, min(room, unit * (t - deficit + 1))):
                     child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                     if child_deficit <= t:
-                        keep = t - child_deficit + 1
-                        key = (spec.truncate(child, keep), child_deficit)
+                        key = (spec.truncate(child, t - child_deficit), child_deficit)
                         kid = ids.setdefault(key, len(nodes))
                         if kid == len(nodes):
                             nodes.append(key)

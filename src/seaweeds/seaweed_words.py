@@ -468,10 +468,15 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     deficiencies, and only the half under the child of each pair that is
     not below its swap is walked (the S+ half).  Every node but ``start``
     then stands for two, so a tally counts it twice.  The seen-set holds
-    every child of ``start`` and, below them, every node together with its
-    swap: that is the state set of the full walk, and a repeat anywhere in
-    it, a node equal to its own swap included, still raises
-    :class:`CollisionError`.
+    the walked nodes and every child of ``start``; swaps are not added to
+    it, but each node below the children of ``start`` is also checked
+    with its swap.  That still finds a repeat anywhere in the full walk.
+    A node equal to its own swap finds itself.  Let a node X below the
+    children of ``start`` be the swap of another node Y of the walk.  If
+    Y is below them too, the later of X and Y finds the other by its swap
+    check.  If Y is a child of ``start``, X is one too (those children
+    come in swap pairs), so X is listed twice and the plain check raises
+    :class:`CollisionError` at the second listing.
     """
     _check_bounds(n_max, t)
     total = sum(start[0])
@@ -507,7 +512,6 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                             f"{'|'.join(map(str, twin))} reached twice; second route "
                             f"is the mirror of one ending with letter {l}"
                         )
-                    seen.add(twin)
                 elif key < twin:  # the half: one child of each swap pair
                     continue
             n, child = total + inc, (l,) + letters

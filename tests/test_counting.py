@@ -283,24 +283,98 @@ class TestDiagonalCounts:
         assert budgets
 
     @pytest.mark.parametrize("kind,t,expansions", [
-        ("seaweed", 4, 233), ("seaweed", 6, 1447), ("parabolic-even", 1, 17),
-        ("parabolic-odd", 2, 45),
+        pytest.param(kind, t, expansions, id=f"{kind}-{t}") for kind, t, expansions in (
+            ("seaweed", 4, 64), ("seaweed", 6, 246), ("parabolic-even", 1, 8),
+            ("parabolic-odd", 2, 16))
     ])
     def test_each_truncated_state_expands_once(self, monkeypatch, kind, t, expansions):
-        # seaweed: (raw + 1) / 2 of the 465 and 2,893 states without the swap merge
+        # seaweed: (raw + own swaps) / 2 of the 124 and 486 states without the swap merge
         for n_max in (40, 120):
-            assert _expansions(monkeypatch, kind, t, n_max)[1] == expansions, (kind, n_max)
+            assert len(_expansions(monkeypatch, kind, t, n_max)[1]) == expansions, (kind, n_max)
 
 
 def _expansions(monkeypatch, kind, t, n_max):
-    """(diagonal counts, number of states expanded) of one count."""
+    """(diagonal counts, the move listers' arguments, one per state expanded)
+    of one count."""
     name = "_child_moves" if kind == "seaweed" else "_child_moves_p"
     moves = getattr(counting, name)
     calls = []
     monkeypatch.setattr(counting, name, lambda *args: calls.append(args) or moves(*args))
     counts = counting.diagonal_counts(kind, t, n_max)
     monkeypatch.setattr(counting, name, moves)
-    return counts, len(calls)
+    return counts, calls
+
+
+def _read_side(side, r):
+    """A pair's side as a subtree with budget r reads it, by the lemma's
+    words: the first part capped at r + 2, then each deeper part while the
+    sum of the parts from the second one to it is at most r."""
+    kept = [min(side[0], r + 2)]
+    for depth in range(2, len(side) + 1):
+        if sum(side[1:depth]) > r:
+            break
+        kept.append(side[depth - 1])
+    return tuple(kept)
+
+
+def _lemma_draws():
+    """300 seeded pairs of sum <= 14 and 300 compositions of sum <= 24, each
+    with a deficiency budget r in 0..5."""
+    rng = make_rng()
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        yield "seaweed", tuple(random_composition(rng, n) for _ in range(2)), rng.randint(0, 5)
+    for _ in range(300):
+        yield "parabolic-even", (random_composition(rng, rng.randint(1, 24)),), rng.randint(0, 5)
+
+
+def _subtree_tally(spec, state, r, window):
+    """(sum increment, deficiency) of every node of the search from ``state``
+    pruned to deficiency r, within ``window`` above the state's sum."""
+    _, moves = spec.root()
+    total = sum(state[0])
+    return Counter((n - total, d)
+                   for _, n, d, _ in sw._search(state, moves, total + window, r, spec.unit))
+
+
+class TestTruncationLemma:
+    """A state and its truncation under a budget r have subtrees with the
+    same sum increments and deficiencies: the first part is capped at r + 2,
+    deeper parts are kept while their running sum is <= r, and a wall r + 1
+    stands for a composition's unread middle."""
+
+    def test_truncated_state_has_the_subtree_of_the_state(self):
+        for kind, state, r in _lemma_draws():
+            spec = counting._kind(kind)
+            window = spec.unit * (r + 1)
+            assert (_subtree_tally(spec, spec.truncate(state, r), r, window)
+                    == _subtree_tally(spec, state, r, window)), (state, r)
+
+    def test_every_affordable_move_commutes_with_truncation(self):
+        # one step at a time, so by induction at every depth: the affordable
+        # moves of a state and of its truncation have the same increments
+        # and families, and children that truncate alike under what is left
+        for kind, state, r in _lemma_draws():
+            spec = counting._kind(kind)
+            _, moves = spec.root()
+
+            def steps(state):
+                listed = Counter()
+                for l, child, inc in moves(*state, spec.unit * (r + 1)):
+                    step = inc // spec.unit - 1 + (l.family == "T")
+                    if step <= r:
+                        listed[inc, l.family, spec.truncate(child, r - step)] += 1
+                return listed
+
+            assert steps(spec.truncate(state, r)) == steps(state), (state, r)
+
+    def test_a_wall_stands_for_the_unread_middle(self):
+        spec = counting._kind("parabolic-even")
+        # r = 3: the front reads 1 and stops at 9, the back reads 1 + 2
+        assert spec.truncate(((3, 1, 9, 2, 1),), 3) == ((3, 1, 4, 2, 1),)
+        assert spec.truncate(((3, 1, 9, 8, 2, 1),), 3) == ((3, 1, 4, 2, 1),)
+        assert spec.truncate(((9, 1, 1, 1),), 3) == ((5, 1, 1, 1),)
+        assert spec.truncate(((2, 9),), 0) == ((2, 1),)
 
 
 class TestSwapMerge:
@@ -326,30 +400,33 @@ class TestSwapMerge:
         rng = make_rng()
         for _ in range(300):
             plus, minus = (random_composition(rng, rng.randint(1, 12)) for _ in range(2))
-            keep = rng.randint(1, 6)
-            merged = spec.truncate((plus, minus), keep)
-            assert merged == spec.truncate((minus, plus), keep)
-            assert merged in ((plus[:keep], minus[:keep]), (minus[:keep], plus[:keep]))
+            r = rng.randint(0, 6)
+            merged = spec.truncate((plus, minus), r)
+            assert merged == spec.truncate((minus, plus), r)
+            sides = (_read_side(plus, r), _read_side(minus, r))
+            assert merged in (sides, sides[::-1]), (plus, minus, r)
 
     @pytest.mark.parametrize("kind", counting.KINDS)
     def test_merge_off_gives_the_same_counts(self, monkeypatch, kind):
         merge = counting._Kind.truncate
 
-        def unmerged(self, state, keep):
+        def unmerged(self, state, r):
             if self.epsilon is None:
-                return tuple(side[:keep] for side in state)
-            return merge(self, state, keep)
+                return tuple(_read_side(side, r) for side in state)
+            return merge(self, state, r)
 
         for t in range(7):
             for n_max in (1, 2, 7, 30, 45):
                 monkeypatch.setattr(counting._Kind, "truncate", unmerged)
                 raw_counts, raw = _expansions(monkeypatch, kind, t, n_max)
                 monkeypatch.setattr(counting._Kind, "truncate", merge)
-                counts, expansions = _expansions(monkeypatch, kind, t, n_max)
+                counts, merged = _expansions(monkeypatch, kind, t, n_max)
                 assert raw_counts == counts, (kind, t, n_max)
-                # the seed is the only pair state equal to its own swap
-                assert raw == (2 * expansions - 1 if kind == "seaweed" else expansions), \
-                    (kind, t, n_max)
+                # a merged pair stands for itself and its swap, one state
+                # when the two are equal
+                own_swaps = sum(args[0] == args[1] for args in merged) if kind == "seaweed" else 0
+                assert len(raw) == (2 * len(merged) - own_swaps if kind == "seaweed"
+                                    else len(merged)), (kind, t, n_max)
 
 
 def _full_tally(n_max, t=None):
