@@ -73,16 +73,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import parabolic_words, seaweed_words
 # iter_compositions, component_counts, partner_array and the generate_* names
 # are not called here; they stay bound because perfbench/tracing.py wraps this
 # module's bindings of them.
 from .compositions import iter_compositions  # noqa: F401
 from .meander import component_counts, partner_array, path_size  # noqa: F401
-from .parabolic_words import (  # noqa: F401
-    _SEEDS_RAW, _child_moves_p, generate_deficiency_p, generate_frobenius_p,
-)
+from .parabolic_words import generate_deficiency_p, generate_frobenius_p, seed  # noqa: F401
 from .seaweed_words import (  # noqa: F401
-    _SEED_RAW, _check_bounds, _child_moves, _search, generate_deficiency, generate_frobenius,
+    _SEED_RAW, _check_bounds, _search, generate_deficiency, generate_frobenius,
 )
 
 SEAWEED_BRUTE_BUDGET = 18
@@ -100,14 +99,28 @@ class UnstableSequence(ValueError):
 @dataclass(frozen=True)
 class _Kind:
     """Pairs (no epsilon), or compositions of parity epsilon: a composition
-    ``a`` of n is the seaweed ``(a | (n))`` with the bottom block uncounted."""
+    ``a`` of n is the seaweed ``(a | (n))`` with the bottom block uncounted.
+
+    A row holds what sets up the kind's search: ``unit``, the smallest sum
+    increment of a letter (and the step between the sums counted), and
+    ``seed``, the raw start state, whose sum is that of its first side.
+    By the start rule of :func:`~seaweeds.seaweed_words._search` a walk
+    yields its seed unless the seed's sum is below ``unit``; only the odd
+    seed (1) is, so a walk that yields anything yields ``first_sum`` first.
+    """
 
     name: str
     epsilon: Optional[int]
+    unit: int
+    seed: tuple
 
     @property
-    def unit(self) -> int:
-        return 1 if self.epsilon is None else 2
+    def moves(self) -> Callable:
+        """The move lister, read from its word module at each call, so a test
+        that plants a lister patches one binding."""
+        if self.epsilon is None:
+            return seaweed_words._child_moves
+        return parabolic_words._child_moves_p
 
     @property
     def offset(self) -> int:
@@ -171,13 +184,6 @@ class _Kind:
         """The smallest sum counted: 1, 2 and 3; the odd seed (1) is not counted."""
         return self.unit + self.offset
 
-    def root(self) -> tuple[tuple, Callable]:
-        """(seed state, child moves) of the kind's search; the seed's sum is
-        that of its first side."""
-        if self.epsilon is None:
-            return _SEED_RAW, _child_moves
-        return (_SEEDS_RAW[self.epsilon],), _child_moves_p
-
     def truncate(self, state: tuple, r: int) -> tuple:
         """The parts of ``state`` a subtree with deficiency budget ``r`` can
         still read (see :func:`diagonal_counts` for the lemma): the first
@@ -209,18 +215,19 @@ class _Kind:
         the S+ half (see :func:`~seaweeds.seaweed_words._search`), and every
         node but the seed is counted twice; its swap has the same sum and
         parts.  Compositions have no such half."""
-        start, moves = self.root()
-        total = sum(start[0])
-        nodes = _search(start, moves, n_max, t, self.unit, emit_start=total >= self.first_sum,
-                        halve=self.epsilon is None)
+        nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
         if self.epsilon is not None:
             return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
         counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
-        seed = (total, 2)  # the seed (1)|(1) is its own swap
-        return {key: 2 * count - (key == seed) for key, count in counts.items()}
+        own_swap = (self.first_sum, 2)  # the seed (1)|(1)
+        return {key: 2 * count - (key == own_swap) for key, count in counts.items()}
 
 
-_KIND_TABLE = (_Kind("seaweed", None), _Kind("parabolic-even", 0), _Kind("parabolic-odd", 1))
+_KIND_TABLE = (
+    _Kind("seaweed", None, 1, _SEED_RAW),
+    _Kind("parabolic-even", 0, 2, (seed(0).parts,)),
+    _Kind("parabolic-odd", 1, 2, (seed(1).parts,)),
+)
 KINDS = tuple(kind.name for kind in _KIND_TABLE)
 
 
@@ -271,7 +278,7 @@ def _census_sides(
     reversal_representatives: bool = False, skip_mirrored_cuts: bool = False,
 ) -> Iterator[tuple[list[int], int, int]]:
     """The compositions of ``n`` with exactly ``odd`` odd parts, in the order of
-    :func:`~seaweeds.compositions.iter_compositions_odd`, as
+    :func:`~seaweeds.compositions.iter_compositions`, as
     (partners, cuts, mirrored); ``block`` is a :func:`_block_arcs` table
     for a sum of at least n.
 
@@ -494,8 +501,7 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     """
     _check_bounds(n_max, t)
     spec = _kind(kind)
-    unit, first = spec.unit, spec.first_sum
-    start, moves = spec.root()
+    unit, first, start, moves = spec.unit, spec.first_sum, spec.seed, spec.moves
     total = sum(start[0])
     # each (truncated state, deficiency) gets a small int id when first seen,
     # so the levels hash ints, not nested tuples
@@ -654,30 +660,22 @@ def fit_polynomial(
     )
 
 
-EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
-    ("seaweed", 0): (2,),
-    ("seaweed", 1): (8,),
-    ("seaweed", 2): (20, 2),
-    ("seaweed", 3): (4, 12),
-    ("seaweed", 4): (-138, 33, 1),
-    ("parabolic-even", 0): (2,),
-    ("parabolic-odd", 0): (2,),
-    ("parabolic-even", 1): (12,),
-    ("parabolic-odd", 1): (6,),
-    ("parabolic-odd", 2): (12, 2),
-}
+# the published cases, by report row: ((kind, t), coefficients, constant first)
+_REPORT_ROWS: tuple[tuple[str, tuple], ...] = (
+    ("P_0", ((("seaweed", 0), (2,)),)),
+    ("P_1", ((("seaweed", 1), (8,)),)),
+    ("P_2", ((("seaweed", 2), (20, 2)),)),
+    ("P_3", ((("seaweed", 3), (4, 12)),)),
+    ("P_4", ((("seaweed", 4), (-138, 33, 1)),)),
+    ("P_{e,0}", ((("parabolic-even", 0), (2,)), (("parabolic-odd", 0), (2,)))),
+    ("P_{0,1}", ((("parabolic-even", 1), (12,)),)),
+    ("P_{1,1}", ((("parabolic-odd", 1), (6,)),)),
+    ("P_{1,2}", ((("parabolic-odd", 2), (12, 2)),)),
+)
 
-_REPORT_ROWS: list[tuple[str, list[tuple[str, int]]]] = [
-    ("P_0", [("seaweed", 0)]),
-    ("P_1", [("seaweed", 1)]),
-    ("P_2", [("seaweed", 2)]),
-    ("P_3", [("seaweed", 3)]),
-    ("P_4", [("seaweed", 4)]),
-    ("P_{e,0}", [("parabolic-even", 0), ("parabolic-odd", 0)]),
-    ("P_{0,1}", [("parabolic-even", 1)]),
-    ("P_{1,1}", [("parabolic-odd", 1)]),
-    ("P_{1,2}", [("parabolic-odd", 2)]),
-]
+EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
+    case: coefficients for _, cases in _REPORT_ROWS for case, coefficients in cases
+}
 
 
 @dataclass(frozen=True)
@@ -734,10 +732,10 @@ def verify_published_polynomials(
         details = []
         fits: list[Optional[PolyFit]] = []
         matched = True
-        for kind, t in cases:
+        for (kind, t), coefficients in cases:
             eps = _kind(kind).epsilon
             seq = sequences[kind, t]
-            expected = tuple(Fraction(c) for c in EXPECTED_COEFFS[(kind, t)])
+            expected = tuple(map(Fraction, coefficients))
             try:
                 fit = fit_polynomial(seq, t, n_start=1, epsilon=eps)
             except UnstableSequence as err:

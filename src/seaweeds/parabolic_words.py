@@ -26,14 +26,14 @@ a failure would falsify freeness of the word monoid and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 from .compositions import Composition
 # CollisionError is raised by the shared search; it stays importable from here.
 from .seaweed_words import (  # noqa: F401
-    CollisionError, WSequence, _letter_index, _Memo, _search, _Word,
+    CollisionError, WSequence, _Letter, _letter_index, _Memo, _search, _Word,
 )
 
 
@@ -46,25 +46,13 @@ class AmbiguousInverse(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ParabolicLetter:
+class ParabolicLetter(_Letter):
     family: str  # "S" or "T"
     tilde: bool
     m: int
-    text: str = field(init=False, repr=False, compare=False)  # the token
 
-    def __post_init__(self):
-        if self.family not in ("S", "T"):
-            raise ValueError(f"letter family must be 'S' or 'T', got {self.family!r}")
-        if self.m < 0:
-            raise ValueError(f"letter index m must be >= 0, got {self.m}")
-        token = f"{self.family}{'~' if self.tilde else ''}{self.m}"
-        object.__setattr__(self, "text", token)
-
-    def token(self) -> str:
-        return self.text
-
-    def __str__(self):
-        return self.text
+    def _mark(self) -> str:
+        return "~" if self.tilde else ""
 
     @classmethod
     def parse(cls, tok: str) -> "ParabolicLetter":
@@ -74,9 +62,7 @@ class ParabolicLetter:
         return letter_p(tok[0], tilde, _letter_index(tok, tok[2:] if tilde else tok[1:]))
 
 
-@lru_cache(maxsize=None)
-def letter_p(family: str, tilde: bool, m: int) -> ParabolicLetter:
-    return ParabolicLetter(family, tilde, m)
+letter_p = lru_cache(maxsize=None)(ParabolicLetter)
 
 
 # the move lister's letters by m, as in seaweed_words
@@ -96,8 +82,6 @@ IOTA_P = ParabolicWord(())
 
 SEED_EVEN = Composition((1, 1))
 SEED_ODD = Composition((1,))
-
-_SEEDS_RAW = {0: (1, 1), 1: (1,)}
 
 
 def seed(epsilon: int) -> Composition:
@@ -241,12 +225,11 @@ def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iter
     """Raw search nodes of the Frobenius compositions of parity ``epsilon``
     with sum <= n_max (and deficiency <= t when given).
 
-    States are one-side tuples ``(a,)``; the odd seed (1) is not emitted.
+    States are one-side tuples ``(a,)``.  Every increment is even, so the
+    search's unit is 2, and by its start rule a seed is emitted unless its
+    sum is below 2: the even seed (1,1) is emitted, the odd seed (1) is not.
     """
-    if epsilon not in (0, 1):
-        raise ValueError(f"epsilon must be 0 or 1, got {epsilon!r}")
-    return _search((_SEEDS_RAW[epsilon],), _child_moves_p, n_max, t, unit=2,
-                   emit_start=epsilon == 0)
+    return _search((seed(epsilon).parts,), _child_moves_p, n_max, t, unit=2)
 
 
 def generate_frobenius_p(

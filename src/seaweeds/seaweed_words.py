@@ -59,68 +59,28 @@ class CollisionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SeaweedLetter:
-    family: str  # "S" or "T"
-    sign: int    # +1 or -1
-    m: int
+class _Letter:
+    """A letter of one alphabet: family S or T, a mark, and an index m >= 0.
+
+    Subclasses declare the fields ``family``, their mark's field and ``m``,
+    and ``_mark`` turns the middle one into the token's mark, checking it.
+    """
+
     text: str = field(init=False, repr=False, compare=False)  # the token
 
     def __post_init__(self):
         if self.family not in ("S", "T"):
             raise ValueError(f"letter family must be 'S' or 'T', got {self.family!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
+        mark = self._mark()
         if self.m < 0:
             raise ValueError(f"letter index m must be >= 0, got {self.m}")
-        token = f"{self.family}{'+' if self.sign == 1 else '-'}{self.m}"
-        object.__setattr__(self, "text", token)
+        object.__setattr__(self, "text", f"{self.family}{mark}{self.m}")
 
     def token(self) -> str:
         return self.text
 
     def __str__(self):
         return self.text
-
-    @classmethod
-    def parse(cls, tok: str) -> "SeaweedLetter":
-        if len(tok) < 3 or tok[0] not in "ST" or tok[1] not in "+-":
-            raise ValueError(f"bad letter token {tok!r}; expected e.g. 'S+0' or 'T-2'")
-        return letter(tok[0], 1 if tok[1] == "+" else -1, _letter_index(tok, tok[2:]))
-
-
-def _letter_index(tok: str, digits: str) -> int:
-    """The letter index m of ``tok``: ASCII decimal digits in canonical form,
-    with no leading zero, so each letter has one token.  ``int`` alone would
-    also take a sign, underscores, non-ASCII digits and ``007``."""
-    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
-        raise ValueError(f"bad letter token {tok!r}")
-    return int(digits)
-
-
-@lru_cache(maxsize=None)
-def letter(family: str, sign: int, m: int) -> SeaweedLetter:
-    """Interned letter factory; generation shares letter objects heavily."""
-    return SeaweedLetter(family, sign, m)
-
-
-class _Memo(dict):
-    """``make(key)`` by key, each made once, on first use; a read then costs
-    one dict lookup, less than a call of a cached function."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
-# the move listers' letters by m: the factory's own objects, read faster
-_S_PLUS, _S_MINUS, _T_PLUS, _T_MINUS = (
-    _Memo(partial(letter, family, sign)).__getitem__
-    for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1))
-)
 
 
 @dataclass(frozen=True)
@@ -151,6 +111,57 @@ class _Word:
     def parse(cls, text: str) -> "_Word":
         """Parse whitespace-separated tokens, leftmost token applied last."""
         return cls(tuple(cls._letter.parse(tok) for tok in text.split()))
+
+
+@dataclass(frozen=True)
+class SeaweedLetter(_Letter):
+    family: str  # "S" or "T"
+    sign: int    # +1 or -1
+    m: int
+
+    def _mark(self) -> str:
+        if self.sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
+        return "+" if self.sign == 1 else "-"
+
+    @classmethod
+    def parse(cls, tok: str) -> "SeaweedLetter":
+        if len(tok) < 3 or tok[0] not in "ST" or tok[1] not in "+-":
+            raise ValueError(f"bad letter token {tok!r}; expected e.g. 'S+0' or 'T-2'")
+        return letter(tok[0], 1 if tok[1] == "+" else -1, _letter_index(tok, tok[2:]))
+
+
+def _letter_index(tok: str, digits: str) -> int:
+    """The letter index m of ``tok``: ASCII decimal digits in canonical form,
+    with no leading zero, so each letter has one token.  ``int`` alone would
+    also take a sign, underscores, non-ASCII digits and ``007``."""
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise ValueError(f"bad letter token {tok!r}")
+    return int(digits)
+
+
+# the interned letter factory; generation shares letter objects heavily
+letter = lru_cache(maxsize=None)(SeaweedLetter)
+
+
+class _Memo(dict):
+    """``make(key)`` by key, each made once, on first use; a read then costs
+    one dict lookup, less than a call of a cached function."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+# the move listers' letters by m: the factory's own objects, read faster
+_S_PLUS, _S_MINUS, _T_PLUS, _T_MINUS = (
+    _Memo(partial(letter, family, sign)).__getitem__
+    for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1))
+)
 
 
 class SeaweedWord(_Word):
@@ -429,7 +440,7 @@ def _check_bounds(n_max: int, t: Optional[int]) -> None:
 
 
 def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
-            emit_start: bool = True, halve: bool = False) -> Iterator[tuple]:
+            halve: bool = False) -> Iterator[tuple]:
     """Pre-order depth-first closure of a raw state under operator letters.
 
     A state is a tuple of part tuples, one per side: ``(plus, minus)`` for
@@ -438,10 +449,13 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     increment fits ``budget``, in a fixed order; children are visited in
     that order, each subtree before the next sibling.  The sum of a state
     is the sum of its first side (both sides of a pair sum to n), and nodes
-    with a sum above ``n_max`` are never emitted.  ``emit_start`` decides
-    whether ``start`` itself is emitted.  Every increment is at least
-    ``unit``, so a state with less room than that left under ``n_max`` is a
-    leaf and ``moves`` is not called for it.
+    with a sum above ``n_max`` are never emitted.  Every increment is at
+    least ``unit``, so a state with less room than that left under ``n_max``
+    is a leaf and ``moves`` is not called for it.
+
+    Start rule: ``start`` itself is emitted unless its sum is below
+    ``unit``.  Of the seeds only the odd composition seed (1) is: its k is
+    0, and it sits outside the generation scheme.
 
     The walk is lazy: the stack holds one open listing of ``moves`` per
     node on the current path, a child is yielded as soon as its listing
@@ -482,7 +496,7 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     total = sum(start[0])
     if total > n_max:
         return
-    if emit_start:
+    if total >= unit:
         yield start, total, 0, ()
     room = n_max - total
     if room < unit:

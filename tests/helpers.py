@@ -154,6 +154,12 @@ def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int
     return cycles, paths
 
 
+def odd_compositions(n: int, k: int) -> list[tuple[int, ...]]:
+    """The compositions of ``n`` with exactly ``k`` odd parts, in
+    :func:`iter_compositions` order."""
+    return [c for c in iter_compositions(n) if sum(a % 2 for a in c) == k]
+
+
 def diagonal(table, t: int, k_max: int) -> list[int]:
     """The deficiency-t diagonal F(unit*k + eps, k + 1 - t) of a count table,
     at k = 1..k_max."""

@@ -63,6 +63,18 @@ class TestIndex:
         code, _, err = run(capsys, "index", "0,3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, text", [
+        (("index", "1_0"), "1_0"),
+        (("frobenius", "1_0", "5,5"), "1_0"),
+        (("index", "+3"), "+3"),
+        (("index", "\u0663"), "\u0663"),
+        (("index", "3, 4"), "3, 4"),
+        (("index", "2,3", "+5"), "+5"),
+    ])
+    def test_only_ascii_digits_parse(self, capsys, argv, text):
+        # int alone takes each of these; 1_0 would read as the composition (10)
+        assert run(capsys, *argv) == (2, "", f"error: not a composition: {text!r}\n")
+
 
 class TestHugeSums:
     """A sum above sys.maxsize is rejected before anything is allocated."""

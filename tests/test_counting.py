@@ -8,7 +8,7 @@ import pytest
 import seaweeds.counting as counting
 import seaweeds.parabolic_words as pw
 import seaweeds.seaweed_words as sw
-from helpers import make_rng, pair_sweep, random_composition, reference_fit
+from helpers import make_rng, odd_compositions, pair_sweep, random_composition, reference_fit
 from seaweeds import (
     BudgetExceeded,
     CountTable,
@@ -20,7 +20,7 @@ from seaweeds import (
     generated_table,
     poly_str,
 )
-from seaweeds.compositions import iter_compositions, iter_compositions_odd
+from seaweeds.compositions import iter_compositions
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import _child_moves_p, composition_nodes
 from seaweeds.seaweed_words import CollisionError, _child_moves, letter, pair_nodes
@@ -89,18 +89,17 @@ class TestBruteTable:
         real = counting.path_size
         monkeypatch.setattr(counting, "path_size", lambda *args: walks.append(1) or real(*args))
 
-        def odd(n, k):
-            return list(iter_compositions_odd(n, k))
-
         def orbit(a, b):  # under the side swap and reversing both sides
             return frozenset({(a, b), (b, a), (a[::-1], b[::-1]), (b[::-1], a[::-1])})
 
         expected = 0
         for n in range(1, 10):
             if n % 2:  # both sides with one odd part
-                candidates = [(a, b) for a in odd(n, 1) for b in odd(n, 1)]
+                candidates = [(a, b) for a in odd_compositions(n, 1)
+                              for b in odd_compositions(n, 1)]
             else:  # the (2, 0) pairs are the swaps of these (0, 2) ones
-                candidates = [(a, b) for a in odd(n, 0) for b in odd(n, 2)]
+                candidates = [(a, b) for a in odd_compositions(n, 0)
+                              for b in odd_compositions(n, 2)]
             expected += len({orbit(a, b) for a, b in candidates
                              if not cut_sums(a) & cut_sums(b)})
         assert expected == 511  # by the side swap alone, 957
@@ -112,7 +111,7 @@ class TestBruteTable:
             first = counting._kind(kind).first_sum
             assert len(walks) == sum(c <= c[::-1] and not has_mirrored_cut(c)
                                      for n in range(first, 17, 2)
-                                     for c in odd(n, 2 - n % 2)), kind
+                                     for c in odd_compositions(n, 2 - n % 2)), kind
 
 
 def cut_sums(c):
@@ -138,20 +137,20 @@ def test_mirrored_cuts_split_the_graph_against_the_block(n):
 
 
 def test_mirrored_cut_lemma_is_not_vacuous():
-    representatives = [c for c in iter_compositions_odd(14, 2) if c <= c[::-1]]
+    representatives = [c for c in odd_compositions(14, 2) if c <= c[::-1]]
     assert len(representatives) == 576
     assert sum(not has_mirrored_cut(c) for c in representatives) == 269
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_census_sides_are_the_compositions_with_their_arcs(n):
-    """The in-place walk yields, in order, what iter_compositions_odd gives,
+    """The in-place walk yields, in order, what odd_compositions gives,
     dressed as (partners, cuts, mirrored cuts), with the arcs from a block
     table for this sum or a larger one; the first bare vertex is the middle
     of the first odd part, and one more than the cuts is the part count."""
     for block in (counting._block_arcs(n), counting._block_arcs(11)):
         for k in range(4):
-            comps = list(iter_compositions_odd(n, k))
+            comps = odd_compositions(n, k)
             want = {}
             for c in comps:
                 sums = list(accumulate(c[:-1]))
@@ -278,7 +277,7 @@ class TestDiagonalCounts:
             budgets.append(budget)
             return moves(*args)
 
-        monkeypatch.setattr(counting, name, recorder)
+        monkeypatch.setattr(sw if kind == "seaweed" else pw, name, recorder)
         counting.diagonal_counts(kind, 10**6, n_max)
         assert budgets
 
@@ -296,12 +295,12 @@ class TestDiagonalCounts:
 def _expansions(monkeypatch, kind, t, n_max):
     """(diagonal counts, the move listers' arguments, one per state expanded)
     of one count."""
-    name = "_child_moves" if kind == "seaweed" else "_child_moves_p"
-    moves = getattr(counting, name)
+    words, name = (sw, "_child_moves") if kind == "seaweed" else (pw, "_child_moves_p")
+    moves = getattr(words, name)
     calls = []
-    monkeypatch.setattr(counting, name, lambda *args: calls.append(args) or moves(*args))
+    monkeypatch.setattr(words, name, lambda *args: calls.append(args) or moves(*args))
     counts = counting.diagonal_counts(kind, t, n_max)
-    monkeypatch.setattr(counting, name, moves)
+    monkeypatch.setattr(words, name, moves)
     return counts, calls
 
 
@@ -331,10 +330,9 @@ def _lemma_draws():
 def _subtree_tally(spec, state, r, window):
     """(sum increment, deficiency) of every node of the search from ``state``
     pruned to deficiency r, within ``window`` above the state's sum."""
-    _, moves = spec.root()
     total = sum(state[0])
     return Counter((n - total, d)
-                   for _, n, d, _ in sw._search(state, moves, total + window, r, spec.unit))
+                   for _, n, d, _ in sw._search(state, spec.moves, total + window, r, spec.unit))
 
 
 class TestTruncationLemma:
@@ -356,11 +354,10 @@ class TestTruncationLemma:
         # and families, and children that truncate alike under what is left
         for kind, state, r in _lemma_draws():
             spec = counting._kind(kind)
-            _, moves = spec.root()
 
             def steps(state):
                 listed = Counter()
-                for l, child, inc in moves(*state, spec.unit * (r + 1)):
+                for l, child, inc in spec.moves(*state, spec.unit * (r + 1)):
                     step = inc // spec.unit - 1 + (l.family == "T")
                     if step <= r:
                         listed[inc, l.family, spec.truncate(child, r - step)] += 1
@@ -451,7 +448,7 @@ def _planted(plants):
     return moves
 
 
-def _bogus_root(plus, minus, budget):
+def _bogus_lister(plus, minus, budget):
     """Two letters reaching one pair from every state, the seed included."""
     yield letter("S", 1, 0), ((2,), (1, 1)), 1
     yield letter("S", -1, 0), ((2,), (1, 1)), 1
@@ -479,7 +476,7 @@ class TestHalfWalk:
                     _full_tally(n_max, t), (t, n_max)
 
     @pytest.mark.parametrize("lister", [
-        pytest.param(_bogus_root, id="root"),
+        pytest.param(_bogus_lister, id="root"),
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER, 2)]}), id="deep-in-half"),
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER[::-1], 2)]}),
                      id="across-halves"),
@@ -490,7 +487,6 @@ class TestHalfWalk:
                      id="later-root-sibling"),
     ])
     def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister):
-        monkeypatch.setattr(counting, "_child_moves", lister)
         monkeypatch.setattr(sw, "_child_moves", lister)
         with pytest.raises(CollisionError):
             list(pair_nodes(8))  # the full walk meets the repeat too
@@ -503,7 +499,6 @@ class TestHalfWalk:
         # a fresh pair planted at _DEEP and, mirrored, at its swap: no repeat,
         # and the half walk still counts what the full walk visits
         lister = _planted({_DEEP: [(letter("S", 1, 7), ((5, 1), (1, 5)), 2)]})
-        monkeypatch.setattr(counting, "_child_moves", lister)
         monkeypatch.setattr(sw, "_child_moves", lister)
         planted = _full_tally(9)
         assert generated_table("seaweed", 9).entries == planted
@@ -525,22 +520,60 @@ class TestZeroRoom:
         mirror half) and of the full walk; without the guard every node
         lists its moves, 2,297, 6,035 and 3,217 of them for the full walk."""
         spec = counting._kind(kind)
-        name, words = ("_child_moves", sw) if kind == "seaweed" else ("_child_moves_p", pw)
-        rooms: dict[str, list[int]] = {"table": [], "walk": []}
-        for module, walk in ((counting, "table"), (words, "walk")):
-            def recorder(*args, moves=getattr(module, name), walk=walk):
-                *state, budget = args
-                rooms[walk].append(n_max - sum(state[0]))
-                return moves(*args)
+        words, name = (sw, "_child_moves") if kind == "seaweed" else (pw, "_child_moves_p")
+        moves = getattr(words, name)
+        rooms = []
 
-            monkeypatch.setattr(module, name, recorder)
+        def recorder(*args):
+            *state, budget = args
+            rooms.append(n_max - sum(state[0]))
+            return moves(*args)
+
+        # the table's walk and the full walk read the one binding, in turn
+        monkeypatch.setattr(words, name, recorder)
         generated_table(kind, n_max)
+        table_rooms = len(rooms)
         if spec.epsilon is None:
             list(pair_nodes(n_max))
         else:
             list(composition_nodes(spec.epsilon, n_max))
-        assert min(rooms["table"] + rooms["walk"]) >= spec.unit
-        assert (len(rooms["table"]), len(rooms["walk"])) == (table_calls, walk_calls)
+        assert min(rooms) >= spec.unit
+        assert (table_rooms, len(rooms) - table_rooms) == (table_calls, walk_calls)
+
+
+class TestKindRows:
+    """A kind row sets up its search: the seed, the unit and the word module's
+    lister.  By the start rule the walk yields the seed unless the seed's sum
+    is below the unit, which only the odd seed (1) is."""
+
+    def test_rows_hold_the_seeds_and_units(self):
+        rows = {kind: counting._kind(kind) for kind in counting.KINDS}
+        assert rows["seaweed"].seed == (sw.SEED.plus.parts, sw.SEED.minus.parts)
+        assert rows["parabolic-even"].seed == (pw.seed(0).parts,) == ((1, 1),)
+        assert rows["parabolic-odd"].seed == (pw.seed(1).parts,) == ((1,),)
+        assert [spec.unit for spec in rows.values()] == [1, 2, 2]
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_full_walk_starts_at_the_seed_and_its_first_sum(self, kind):
+        spec = counting._kind(kind)
+        seed_sum = sum(spec.seed[0])
+        for n_max in range(1, 9):
+            nodes = list(sw._search(spec.seed, spec.moves, n_max, None, spec.unit))
+            public = (pair_nodes(n_max) if spec.epsilon is None
+                      else composition_nodes(spec.epsilon, n_max))
+            assert nodes == list(public), (kind, n_max)
+            tallied = generated_table(kind, n_max).entries
+            assert (nodes == []) == (tallied == {}) == (n_max < spec.first_sum), (kind, n_max)
+            if not nodes:
+                continue
+            if kind == "parabolic-odd":  # the seed's children come first
+                l, child, inc = next(spec.moves(*spec.seed, n_max - seed_sum))
+                assert nodes[0] == (child, seed_sum + inc, 0, (l,)), n_max
+                assert all(letters for *_, letters in nodes), n_max
+            else:
+                assert nodes[0] == (spec.seed, seed_sum, 0, ()), (kind, n_max)
+            assert min(n for _, n, _, _ in nodes) == spec.first_sum, (kind, n_max)
+            assert min(n for n, _ in tallied) == spec.first_sum, (kind, n_max)
 
 
 class TestFitPolynomial:

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     make_rng,
+    odd_compositions,
     pair_sweep,
     random_bicomposition,
     random_composition,
@@ -22,7 +23,6 @@ from seaweeds import (
     rho,
     theta,
 )
-from seaweeds.compositions import iter_compositions_odd
 from seaweeds.meander import MeanderGraph, component_counts, partner_array, path_size
 
 EXAMPLE = BiComposition.parse("2,3,2|4,3")
@@ -173,7 +173,7 @@ def test_two_odd_parts_prefilter_lemma():
         walked += 1
     # the census enumerates exactly these candidates
     def count(n, k):
-        return sum(1 for _ in iter_compositions_odd(n, k))
+        return len(odd_compositions(n, k))
 
     pairs = sum(count(n, k) * count(n, 2 - k) for n in range(1, 10) for k in range(3))
     blocks = sum(count(n, 2 - n % 2) for n in range(1, 17))
