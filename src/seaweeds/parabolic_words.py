@@ -26,6 +26,7 @@ a failure would falsify freeness of the word monoid and raises
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
@@ -91,13 +92,23 @@ def seed(epsilon: int) -> Composition:
     return SEED_EVEN if epsilon == 0 else SEED_ODD
 
 
-def _apply_raw_p(family: str, tilde: bool, m: int, a: tuple) -> tuple:
+def _ends_p(family: str, m: int, core: tuple) -> tuple[int, int]:
+    """The new first and last parts of the untilded letter ``family`` m, made
+    from the parts ``core`` it consumes: (a1,) for S, (a1, a2) for T.  It is
+    the whole of a letter's arithmetic; the parts in between are kept."""
     if family == "S":
-        out = ((m + 2) * a[0],) + a[1:] + ((m + 1) * a[0],)
-    elif len(a) == 1:
+        a1, = core
+        return (m + 2) * a1, (m + 1) * a1
+    a1, a2 = core
+    return (m + 1) * a1 + (m + 2) * a2, m * a1 + (m + 1) * a2
+
+
+def _apply_raw_p(family: str, tilde: bool, m: int, a: tuple) -> tuple:
+    if family == "T" and len(a) == 1:
         return a  # T letters sit idle on one-part compositions
-    else:
-        out = ((m + 1) * a[0] + (m + 2) * a[1],) + a[2:] + (m * a[0] + (m + 1) * a[1],)
+    k = 1 if family == "S" else 2
+    first, last = _ends_p(family, m, a[:k])
+    out = (first,) + a[k:] + (last,)
     return out[::-1] if tilde else out
 
 
@@ -106,9 +117,22 @@ def apply_letter_p(l: ParabolicLetter, a: Composition) -> Composition:
 
 
 def evaluate_p(w: ParabolicWord, a: Composition) -> Composition:
+    """w(a), innermost letter first, in O(1) per letter: the parts sit in a
+    deque read backwards while ``rev`` is set, so a tilde costs nothing."""
+    parts, rev = deque(a.parts), False
     for l in reversed(w.letters):
-        a = apply_letter_p(l, a)
-    return a
+        if l.family == "T" and len(parts) == 1:
+            continue  # T letters sit idle on one-part compositions
+        take, put_first, put_last = (
+            (parts.pop, parts.append, parts.appendleft) if rev
+            else (parts.popleft, parts.appendleft, parts.append)
+        )
+        core = (take(),) if l.family == "S" else (take(), take())
+        first, last = _ends_p(l.family, l.m, core)
+        put_first(first)
+        put_last(last)
+        rev ^= l.tilde
+    return Composition(tuple(reversed(parts)) if rev else tuple(parts))
 
 
 def w_sequence_p(w: ParabolicWord, a: Composition) -> WSequence:
@@ -127,24 +151,51 @@ def w_sequence_p(w: ParabolicWord, a: Composition) -> WSequence:
     return WSequence(values, beta=sum(1 for v in values if v > 2))
 
 
-def _reduce_raw_p(a: tuple) -> tuple:
-    """Strip the last-applied letter from a raw tuple with a[0] != a[-1]."""
-    tilde = a[0] < a[-1]
-    c = a[::-1] if tilde else a
-    d = c[0] - c[-1]
-    rem = c[-1] % d
-    if rem == 0:
-        pred = (d,) + c[1:-1]
-        l = letter_p("S", tilde, c[-1] // d - 1)
+def _strip_p(parts: deque, rev: bool) -> tuple[ParabolicLetter, bool]:
+    """Strip the last-applied letter, in place, from a composition whose first
+    and last parts differ; return it and the new orientation.
+
+    The composition is ``parts`` read backwards when ``rev`` is set, so
+    the reversal of a tilde letter costs nothing and a strip costs O(1)
+    whatever the length.  The larger end part is the first part the
+    untilded letter made, so the order of the ends gives the tilde.  With
+    d = first - last, division with remainder last = q d + r gives S q-1,
+    which consumed the part (d), when r = 0, and T q, which consumed
+    (d - r, r), otherwise.  The letter is re-applied to those parts by the
+    forward code (:func:`_ends_p`) before anything changes; as no strip
+    touches the middle parts, that is the whole of the check, and a
+    failure raises :class:`AmbiguousInverse`.
+    """
+    first, last = (parts[-1], parts[0]) if rev else (parts[0], parts[-1])
+    tilde = first < last
+    if tilde:
+        first, last = last, first
+        rev = not rev  # the untilded letter's output reads the other way
+    d = first - last
+    m, r = divmod(last, d)
+    if r:
+        family, core, l = "T", (d - r, r), (_T_TILDE if tilde else _T)(m)
     else:
-        pred = (d - rem, rem) + c[1:-1]
-        l = letter_p("T", tilde, c[-1] // d)
-    if _apply_raw_p(l.family, l.tilde, l.m, pred) != a:
+        m -= 1
+        family, core, l = "S", (d,), (_S_TILDE if tilde else _S)(m)
+    if _ends_p(family, m, core) != (first, last):
+        c = tuple(parts)[::-1] if rev else tuple(parts)
+        a, pred = c[::-1] if tilde else c, core + c[1:-1]
         raise AmbiguousInverse(
             f"stripping {l} from {a} suggested predecessor {pred}, "
             f"which does not map back"
         )
-    return pred, l
+    if rev:
+        parts.popleft()
+        parts[-1] = core[-1]
+        if r:
+            parts.append(core[0])
+    else:
+        parts.pop()
+        parts[0] = core[-1]
+        if r:
+            parts.appendleft(core[0])
+    return l, rev
 
 
 def reduce_once_p(a: Composition) -> tuple[Composition, ParabolicLetter]:
@@ -153,29 +204,35 @@ def reduce_once_p(a: Composition) -> tuple[Composition, ParabolicLetter]:
     Raises :class:`FirstLastEqual` at the reduction's terminal situation
     and :class:`AmbiguousInverse` if the arithmetic inverse fails to
     reproduce ``a`` (which would disprove freeness -- report, don't mend).
+    The strip is :func:`factorize_p`'s own step, map-back included, and
+    costs O(1); copying the parts in and out costs O(k) for k parts.
     """
     if a.parts[0] == a.parts[-1]:
         raise FirstLastEqual(f"first and last parts equal in {a}; nothing to strip")
-    pred, l = _reduce_raw_p(a.parts)
-    return Composition(pred), l
+    parts = deque(a.parts)
+    l, rev = _strip_p(parts, False)
+    return Composition(tuple(reversed(parts)) if rev else tuple(parts)), l
 
 
 def factorize_p(a: Composition) -> Optional[tuple[int, ParabolicWord]]:
     """(parity, word) with word(seed) = ``a``, or None when not Frobenius.
 
     Compositions of sum 1 are rejected: the sum-1 world is deliberately
-    outside the even/odd generation scheme.
+    outside the even/odd generation scheme.  Each strip costs O(1),
+    including the map-back of its letter (:func:`_strip_p`), so the whole
+    factorization is linear in the parts and letters.
     """
     if a.total < 2:
         raise ValueError("factorization is defined for compositions of sum >= 2")
-    cur = a.parts
+    parts, rev = deque(a.parts), False
     collected: list[ParabolicLetter] = []
-    while cur[0] != cur[-1]:
-        cur, l = _reduce_raw_p(cur)
+    while parts[0] != parts[-1]:
+        l, rev = _strip_p(parts, rev)
         collected.append(l)
-    if cur == (1, 1):
+    end = tuple(parts)
+    if end == (1, 1):
         return 0, ParabolicWord(tuple(collected))
-    if cur == (1,):
+    if end == (1,):
         # reaching (1) shrinks the length, which only S-family strips do
         if not collected or collected[-1].family != "S":
             raise AmbiguousInverse(

@@ -335,33 +335,30 @@ def delta_decompose(w: SeaweedWord, a: BiComposition) -> DeltaDecomposition:
     return DeltaDecomposition(tuple(blocks))
 
 
-def _reduce_raw(plus, minus):
-    """Strip the last-applied letter from raw tuples with plus[0] != minus[0].
+def _strip(plus: list, minus: list) -> SeaweedLetter:
+    """Strip the last-applied letter from a pair with different first parts,
+    in place, and return it.  Each side is a list of its parts in reverse
+    order, first part last, so a strip costs O(1) whatever the lengths.
 
-    Returns (new_plus, new_minus, letter).  The smaller first part sits
-    on the side the letter pushed into; division with remainder on the
-    first parts recovers the family and m.
+    The smaller first part l sits on the side the letter pushed into, and it
+    is popped.  With h the other first part and d = h - l, division with
+    remainder l - 1 = m d + r gives the letter's m.  The letter consumed
+    parts of sum d on the larger side: (d - s, s) for T m, with s = r + 1 =
+    l - m d, and (d) for S m, the case s = d.
     """
-    if plus[0] < minus[0]:
-        sign = -1
-        hi, lo = minus, plus
+    if plus[-1] > minus[-1]:
+        hi, lo, s_letter, t_letter = plus, minus, _S_PLUS, _T_PLUS
     else:
-        sign = 1
-        hi, lo = plus, minus
-    d = hi[0] - lo[0]
-    m = (lo[0] - 1) // d
-    first = (m + 1) * hi[0] - (m + 2) * lo[0]
-    second = (m + 1) * lo[0] - m * hi[0]
-    if first == 0:
-        fam = "S"
-        new_hi = (second,) + hi[1:]
-    else:
-        fam = "T"
-        new_hi = (first, second) + hi[1:]
-    new_lo = lo[1:]
-    if sign == -1:
-        return new_lo, new_hi, letter(fam, -1, m)
-    return new_hi, new_lo, letter(fam, 1, m)
+        hi, lo, s_letter, t_letter = minus, plus, _S_MINUS, _T_MINUS
+    l = lo.pop()
+    d = hi[-1] - l
+    m = (l - 1) // d
+    second = l - m * d
+    hi[-1] = second
+    if second < d:
+        hi.append(d - second)
+        return t_letter(m)
+    return s_letter(m)
 
 
 def reduce_once(b: BiComposition) -> tuple[BiComposition, SeaweedLetter]:
@@ -369,12 +366,16 @@ def reduce_once(b: BiComposition) -> tuple[BiComposition, SeaweedLetter]:
 
     Raises :class:`FirstPartsEqual` when the two first parts coincide
     (the reduction's terminal situation, handled by :func:`factorize`).
+    The strip is :func:`factorize`'s own step and costs O(1); copying the
+    parts in and out costs O(k) for k parts.
     """
     plus, minus = b.plus.parts, b.minus.parts
     if plus[0] == minus[0]:
         raise FirstPartsEqual(f"first parts equal in {b}; nothing to strip")
-    new_plus, new_minus, l = _reduce_raw(plus, minus)
-    return BiComposition(Composition(new_plus), Composition(new_minus)), l
+    plus, minus = list(plus[::-1]), list(minus[::-1])
+    l = _strip(plus, minus)
+    return BiComposition(Composition(tuple(reversed(plus))),
+                         Composition(tuple(reversed(minus)))), l
 
 
 def factorize(b: BiComposition) -> Optional[SeaweedWord]:
@@ -383,7 +384,8 @@ def factorize(b: BiComposition) -> Optional[SeaweedWord]:
     Strips letters while the first parts differ.  Ending at the seed
     yields the word (letters collected outermost-first, so evaluation
     reproduces ``b``); ending anywhere else means ``b`` is not Frobenius
-    and None is returned.
+    and None is returned.  Each strip costs O(1) (:func:`_strip`), so the
+    whole factorization is linear in the parts and letters.
     """
     letters = _factorize_raw(b.plus.parts, b.minus.parts)
     return None if letters is None else SeaweedWord(letters)
@@ -391,13 +393,11 @@ def factorize(b: BiComposition) -> Optional[SeaweedWord]:
 
 def _factorize_raw(plus, minus) -> Optional[tuple[SeaweedLetter, ...]]:
     """:func:`factorize` on raw part tuples: the word's letters, or None."""
+    plus, minus = list(plus[::-1]), list(minus[::-1])
     collected: list[SeaweedLetter] = []
-    while plus[0] != minus[0]:
-        plus, minus, l = _reduce_raw(plus, minus)
-        collected.append(l)
-    if (plus, minus) == _SEED_RAW:
-        return tuple(collected)
-    return None
+    while plus[-1] != minus[-1]:
+        collected.append(_strip(plus, minus))
+    return tuple(collected) if plus == minus == [1] else None
 
 
 def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, int]]:

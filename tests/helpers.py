@@ -46,9 +46,10 @@ def random_bicomposition(rng: random.Random, n_lo: int = 1, n_hi: int = 8) -> Bi
 
 
 def random_seaweed_instance(
-    rng: random.Random, sum_cap: int = 40, max_len: int = 6, base: BiComposition = None
+    rng: random.Random, sum_cap: int = 40, max_len: int = 6, base: BiComposition = None,
+    max_m: int = 3,
 ) -> tuple[BiComposition, SeaweedWord]:
-    """A pair (a, w) with w(a) a genuine pair of sum <= sum_cap."""
+    """A pair (a, w) with w(a) a genuine pair of sum <= sum_cap, m <= max_m."""
     a = base if base is not None else random_bicomposition(rng)
     plus, minus = a.plus.parts, a.minus.parts
     applied = []
@@ -60,7 +61,7 @@ def random_seaweed_instance(
                 side = plus if sign == 1 else minus
                 if fam == "T" and len(side) < 2:
                     continue
-                for m in range(4):
+                for m in range(max_m + 1):
                     inc = (m + 1) * side[0] if fam == "S" else m * side[0] + (m + 1) * side[1]
                     if inc <= budget:
                         options.append((fam, sign, m))
@@ -73,9 +74,10 @@ def random_seaweed_instance(
 
 
 def random_parabolic_instance(
-    rng: random.Random, sum_cap: int = 40, max_len: int = 6, base: Composition = None
+    rng: random.Random, sum_cap: int = 40, max_len: int = 6, base: Composition = None,
+    max_m: int = 3,
 ) -> tuple[Composition, ParabolicWord]:
-    """A pair (a, w) over the parabolic alphabet with s(w(a)) <= sum_cap."""
+    """A pair (a, w) over the parabolic alphabet with s(w(a)) <= sum_cap, m <= max_m."""
     if base is None:
         n = rng.randint(1, 8)
         base = Composition(random_composition(rng, n))
@@ -89,7 +91,7 @@ def random_parabolic_instance(
                 # T letters idle on one-part compositions; keep generation free
                 continue
             for tilde in (False, True):
-                for m in range(4):
+                for m in range(max_m + 1):
                     inc = 2 * (m + 1) * a[0] if fam == "S" else 2 * m * a[0] + 2 * (m + 1) * a[1]
                     if inc <= budget:
                         options.append((fam, tilde, m))
@@ -111,22 +113,24 @@ def pair_sweep(n: int) -> tuple[list, list, list[list[tuple[int, int]]]]:
     return comps, partners, [[component_counts(p, q) for q in partners] for p in partners]
 
 
+def reference_partners(parts: tuple[int, ...], n: int) -> list[int]:
+    """Partner of each position under one layer of arcs, written one
+    position at a time; -1 for a bare vertex."""
+    nbr = [-1] * n
+    lo = 0
+    for part in parts:
+        hi = lo + part - 1
+        for i in range(part // 2):
+            nbr[lo + i] = hi - i
+            nbr[hi - i] = lo + i
+        lo = hi + 1
+    return nbr
+
+
 def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int, int]:
     """(cycles, paths) by endpoint walking; independent of union-find."""
     n = sum(plus)
-
-    def partners(parts):
-        nbr = [-1] * n
-        lo = 0
-        for part in parts:
-            hi = lo + part - 1
-            for i in range(part // 2):
-                nbr[lo + i] = hi - i
-                nbr[hi - i] = lo + i
-            lo = hi + 1
-        return nbr
-
-    top, bot = partners(plus), partners(minus)
+    top, bot = reference_partners(plus, n), reference_partners(minus, n)
     seen = [False] * n
     cycles = paths = 0
     for v in range(n):

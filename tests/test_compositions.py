@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,17 @@ def test_rejects_non_integer_parts():
         Composition((1.5, 2))
     with pytest.raises(ValueError):
         Composition((True, 1))
+
+
+def test_int_subclass_parts_pass_and_errors_keep_their_text():
+    class Count(int):
+        pass
+
+    a = Composition((Count(2), 3))
+    assert a.parts == (2, 3) and type(a.parts[0]) is Count
+    for bad in ((True, 1), (1, False), (2, 0), (1.0, 2), (2, -1), (Count(0), 1)):
+        with pytest.raises(ValueError, match=re.escape(f"parts must be positive integers, got {bad!r}")):
+            Composition(bad)
 
 
 def test_bicomposition_rejects_unequal_sums():

@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from helpers import (
     random_bicomposition,
     random_composition,
     reference_census,
+    reference_partners,
 )
 from seaweeds import (
     BiComposition,
@@ -126,6 +129,24 @@ def test_census_against_independent_walk_large():
     n = 20001
     for plus, minus in (((10000, 10001), (n,)), ((n,), (10000, 10001))):
         assert component_counts(partner_array(plus, n), partner_array(minus, n)) == (0, 1)
+
+
+def test_partner_array_matches_per_position_reference():
+    for n in range(1, 13):
+        for parts in iter_compositions(n):
+            assert partner_array(parts, n) == tuple(reference_partners(parts, n)), parts
+
+
+@pytest.mark.parametrize("parts, n", [((3, 3), 4), ((1, 1), 4), ((2, 2, 1), 6)])
+def test_partner_array_rejects_parts_of_another_sum(parts, n):
+    with pytest.raises(ValueError, match=re.escape(f"parts {parts!r} do not sum to {n}")):
+        partner_array(parts, n)
+
+
+def test_partner_array_rejects_a_sum_above_maxsize():
+    huge = sys.maxsize + 1
+    with pytest.raises(ValueError, match=f"sum {huge} exceeds the largest supported sum {sys.maxsize}"):
+        partner_array((huge,), huge)
 
 
 def test_path_size():

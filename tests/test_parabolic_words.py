@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 
@@ -185,6 +187,31 @@ class TestFactorize:
                 if result is not None:
                     _, word = result
                     assert word.letters[-1].family == "S"
+
+    def test_random_long_words_round_trip(self):
+        rng = make_rng()
+        for _ in range(500):
+            eps = rng.randint(0, 1)
+            _, w = random_parabolic_instance(rng, math.inf, max_len=60, base=seed(eps), max_m=12)
+            c = evaluate_p(w, seed(eps))
+            one_at_a_time = seed(eps)
+            for l in reversed(w.letters):
+                one_at_a_time = apply_letter_p(l, one_at_a_time)
+            assert one_at_a_time == c
+            if c.total < 2:
+                continue  # the empty word on the odd seed: outside the scheme
+            assert factorize_p(c) == (eps, w)
+            if w.letters:  # reduce_once_p is the first strip of factorize_p
+                rest = ParabolicWord(w.letters[1:])
+                assert reduce_once_p(c) == (evaluate_p(rest, seed(eps)), w.letters[0])
+
+    def test_long_input_takes_linear_time(self):
+        # 50,000 strips of O(1) each take well under a second
+        a = Composition((2,) * 50_000 + (1,))
+        start = time.perf_counter()
+        eps, w = factorize_p(a)
+        assert time.perf_counter() - start < 2
+        assert evaluate_p(w, seed(eps)) == a
 
 
 class TestGenerate:
@@ -425,13 +452,21 @@ class TestFreenessMachinery:
     def test_failed_inverse_raises(self, monkeypatch):
         import seaweeds.parabolic_words as pw
 
-        monkeypatch.setattr(pw, "_apply_raw_p", lambda *args: (999,))
+        # the forward code both _apply_raw_p and the strip's map-back run
+        monkeypatch.setattr(pw, "_ends_p", lambda *args: (999, 1))
         with pytest.raises(pw.AmbiguousInverse):
             pw.reduce_once_p(comp(2, 1))
+        with pytest.raises(pw.AmbiguousInverse, match=r"from \(1, 4, 4\) suggested predecessor \(2, 1, 4\)"):
+            pw.factorize_p(comp(1, 4, 4))
 
     def test_odd_seed_reached_by_a_t_strip_raises(self, monkeypatch):
         import seaweeds.parabolic_words as pw
 
-        monkeypatch.setattr(pw, "_reduce_raw_p", lambda a: ((1,), pw.letter_p("T", False, 0)))
+        def bogus(parts, rev):
+            parts.clear()
+            parts.append(1)
+            return pw.letter_p("T", False, 0), rev
+
+        monkeypatch.setattr(pw, "_strip_p", bogus)
         with pytest.raises(pw.AmbiguousInverse, match="not by stripping an S letter"):
             pw.factorize_p(comp(1, 2))

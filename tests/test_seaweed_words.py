@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 
@@ -276,6 +278,24 @@ class TestFactorize:
                 assert (word is not None) == is_frobenius(a)
                 if word is not None:
                     assert evaluate(word, SEED) == a
+
+    def test_random_long_words_round_trip(self):
+        rng = make_rng()
+        for _ in range(500):
+            _, w = random_seaweed_instance(rng, math.inf, max_len=60, base=SEED, max_m=12)
+            b = evaluate(w, SEED)
+            assert factorize(b) == w
+            if w.letters:  # reduce_once is the first strip of factorize
+                rest = SeaweedWord(w.letters[1:])
+                assert reduce_once(b) == (evaluate(rest, SEED), w.letters[0])
+
+    def test_long_input_takes_linear_time(self):
+        # 50,000 strips of O(1) each take well under a second
+        n = 100_000
+        b = BiComposition(Composition((1,) * n), Composition((n,)))
+        start = time.perf_counter()
+        assert factorize(b) is None
+        assert time.perf_counter() - start < 2
 
 
 class TestGenerate:
