@@ -25,6 +25,7 @@ Frobenius means index zero, equivalently the graph is one single path.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .compositions import BiComposition, Composition
@@ -205,25 +206,28 @@ def _render_ascii(g: MeanderGraph) -> str:
     """Two-region arc diagram: top arcs above the vertex row, bottom below.
 
     One text column per vertex (vertices are printed mod 10); nesting
-    depth gets its own line, outermost arc highest/lowest.
+    depth gets its own line, outermost arc highest/lowest.  An arc's depth
+    is the number of arcs that start left of it and end right of it,
+    counted in one sweep by left end: no two arcs of a layer share a
+    vertex, so those are the earlier arcs whose right end lies beyond its
+    own.  Each row is filled in the layer's arc order.
     """
-    col = {v: 2 * (v - 1) for v in range(1, g.n + 1)}
     width = 2 * g.n - 1
 
     def arc_rows(arcs, opening, closing):
+        spans = [(min(u, v), max(u, v)) for u, v in arcs]
+        depth, rights = {}, []
+        for u, v in sorted(spans):
+            depth[u, v] = len(rights) - bisect_right(rights, v)
+            insort(rights, v)
         by_depth: dict[int, list[tuple[int, int]]] = {}
-        for u, v in arcs:
-            u, v = min(u, v), max(u, v)
-            depth = sum(1 for x, y in arcs if min(x, y) < u and max(x, y) > v)
-            by_depth.setdefault(depth, []).append((u, v))
+        for arc in spans:
+            by_depth.setdefault(depth[arc], []).append(arc)
         rows = []
-        for depth in sorted(by_depth):
+        for d in sorted(by_depth):
             row = [" "] * width
-            for u, v in by_depth[depth]:
-                row[col[u]] = opening
-                row[col[v]] = closing
-                for c in range(col[u] + 1, col[v]):
-                    row[c] = "-"
+            for u, v in by_depth[d]:  # vertex v sits in column 2v - 2
+                row[2 * u - 2:2 * v - 1] = opening + "-" * (2 * (v - u) - 1) + closing
             rows.append("".join(row).rstrip())
         return rows
 

@@ -8,6 +8,11 @@ variants, tokens ``Sm``, ``S~m``, ``Tm``, ``T~m`` for m >= 0:
           and the identity when r = 1
     S~m, T~m   the same followed by reversal of the whole composition.
 
+A letter's new first and last parts are the pair alphabet's new first and
+pushed parts (``seaweed_words._ends``).  Evaluation runs :func:`_walk_p`,
+which keeps the parts in a deque with an orientation flag for the tilde
+letters and so costs O(1) per letter.
+
 Every letter preserves the parabolic index and adds an even amount to the
 sum (S adds 2(m+1)a1, T adds 2m a1 + 2(m+1)a2, or nothing when r = 1), so
 compositions of even and odd totals live in separate worlds with seeds
@@ -34,7 +39,7 @@ from typing import Iterator, Optional
 from .compositions import Composition
 # CollisionError is raised by the shared search; it stays importable from here.
 from .seaweed_words import (  # noqa: F401
-    CollisionError, WSequence, _Letter, _letter_index, _Memo, _search, _Word,
+    CollisionError, WSequence, _ends, _Letter, _letter_index, _Memo, _search, _Word,
 )
 
 
@@ -92,47 +97,43 @@ def seed(epsilon: int) -> Composition:
     return SEED_EVEN if epsilon == 0 else SEED_ODD
 
 
-def _ends_p(family: str, m: int, core: tuple) -> tuple[int, int]:
-    """The new first and last parts of the untilded letter ``family`` m, made
-    from the parts ``core`` it consumes: (a1,) for S, (a1, a2) for T.  It is
-    the whole of a letter's arithmetic; the parts in between are kept."""
-    if family == "S":
-        a1, = core
-        return (m + 2) * a1, (m + 1) * a1
-    a1, a2 = core
-    return (m + 1) * a1 + (m + 2) * a2, m * a1 + (m + 1) * a2
+def _walk_p(letters, a: tuple) -> tuple[tuple, list[int]]:
+    """Apply ``letters``, a word's letters with the last-applied one first, to
+    the parts ``a``, in O(1) per letter.
 
-
-def _apply_raw_p(family: str, tilde: bool, m: int, a: tuple) -> tuple:
-    if family == "T" and len(a) == 1:
-        return a  # T letters sit idle on one-part compositions
-    k = 1 if family == "S" else 2
-    first, last = _ends_p(family, m, a[:k])
-    out = (first,) + a[k:] + (last,)
-    return out[::-1] if tilde else out
-
-
-def apply_letter_p(l: ParabolicLetter, a: Composition) -> Composition:
-    return Composition(_apply_raw_p(l.family, l.tilde, l.m, a.parts))
-
-
-def evaluate_p(w: ParabolicWord, a: Composition) -> Composition:
-    """w(a), innermost letter first, in O(1) per letter: the parts sit in a
-    deque read backwards while ``rev`` is set, so a tilde costs nothing."""
-    parts, rev = deque(a.parts), False
-    for l in reversed(w.letters):
+    The parts sit in a deque read backwards while ``rev`` is set, so a
+    tilde costs nothing; a letter takes what it consumes from the front,
+    puts back the new first part and appends the last one (:func:`_ends`).
+    Returns the final parts and each letter's sum increment, in
+    application order: twice the new last part, and 0 for a T letter idle
+    on one part.
+    """
+    parts, rev = deque(a), False
+    increments = []
+    for l in reversed(letters):
         if l.family == "T" and len(parts) == 1:
-            continue  # T letters sit idle on one-part compositions
+            increments.append(0)  # T letters sit idle on one-part compositions
+            continue
         take, put_first, put_last = (
             (parts.pop, parts.append, parts.appendleft) if rev
             else (parts.popleft, parts.appendleft, parts.append)
         )
         core = (take(),) if l.family == "S" else (take(), take())
-        first, last = _ends_p(l.family, l.m, core)
+        first, last = _ends(l.family, l.m, core)
         put_first(first)
         put_last(last)
+        increments.append(2 * last)
         rev ^= l.tilde
-    return Composition(tuple(reversed(parts)) if rev else tuple(parts))
+    return tuple(reversed(parts)) if rev else tuple(parts), increments
+
+
+def apply_letter_p(l: ParabolicLetter, a: Composition) -> Composition:
+    return evaluate_p(ParabolicWord((l,)), a)
+
+
+def evaluate_p(w: ParabolicWord, a: Composition) -> Composition:
+    """w(a), innermost letter first, in O(1) per letter (:func:`_walk_p`)."""
+    return Composition(_walk_p(w.letters, a.parts)[0])
 
 
 def w_sequence_p(w: ParabolicWord, a: Composition) -> WSequence:
@@ -141,13 +142,7 @@ def w_sequence_p(w: ParabolicWord, a: Composition) -> WSequence:
     An entry is 0 exactly when a T letter met a one-part composition.
     ``beta`` counts the increments above 2.
     """
-    increments = []
-    cur = a.parts
-    for l in reversed(w.letters):
-        nxt = _apply_raw_p(l.family, l.tilde, l.m, cur)
-        increments.append(sum(nxt) - sum(cur))
-        cur = nxt
-    values = tuple(reversed(increments))
+    values = tuple(reversed(_walk_p(w.letters, a.parts)[1]))
     return WSequence(values, beta=sum(1 for v in values if v > 2))
 
 
@@ -162,7 +157,7 @@ def _strip_p(parts: deque, rev: bool) -> tuple[ParabolicLetter, bool]:
     d = first - last, division with remainder last = q d + r gives S q-1,
     which consumed the part (d), when r = 0, and T q, which consumed
     (d - r, r), otherwise.  The letter is re-applied to those parts by the
-    forward code (:func:`_ends_p`) before anything changes; as no strip
+    forward code (:func:`_ends`) before anything changes; as no strip
     touches the middle parts, that is the whole of the check, and a
     failure raises :class:`AmbiguousInverse`.
     """
@@ -178,7 +173,7 @@ def _strip_p(parts: deque, rev: bool) -> tuple[ParabolicLetter, bool]:
     else:
         m -= 1
         family, core, l = "S", (d,), (_S_TILDE if tilde else _S)(m)
-    if _ends_p(family, m, core) != (first, last):
+    if _ends(family, m, core) != (first, last):
         c = tuple(parts)[::-1] if rev else tuple(parts)
         a, pred = c[::-1] if tilde else c, core + c[1:-1]
         raise AmbiguousInverse(

@@ -13,6 +13,13 @@ and preserves the meander index.  A word eta_1 ... eta_k acts right to
 left: eta_k is applied first, eta_1 last.  The empty word is the
 identity.
 
+A letter's arithmetic is written once, in :func:`_ends`, for this
+alphabet and the parabolic one: S m consumes the first part a1 of its
+side and T m the first two, (a1, a2), and each makes a new first part
+and one part pushed onto the other side.  :func:`evaluate`,
+:func:`w_sequence` and :func:`apply_letter` all run :func:`_walk`, which
+keeps each side as a reversed list and so costs O(1) per letter.
+
 Two facts drive everything downstream:
 
 * The word monoid is free and evaluation at a fixed pair is injective;
@@ -220,55 +227,71 @@ def word_stats(w: SeaweedWord) -> WordStats:
     return WordStats(len(w.letters), sp, sm, tp, tm)
 
 
-def _apply_raw(family: str, sign: int, m: int, plus, minus):
-    """Letter action on raw part tuples; None encodes the null element.
-    A minus letter is the plus letter on swapped sides."""
-    if sign == -1:
-        raw = _apply_raw(family, 1, m, minus, plus)
-        return None if raw is None else (raw[1], raw[0])
+def _ends(family: str, m: int, core: tuple) -> tuple[int, int]:
+    """The two parts the letter ``family`` m makes from the parts ``core`` it
+    consumes, (a1,) for S and (a1, a2) for T: the new first part and the
+    pushed part.  It is the whole of a letter's arithmetic in both
+    alphabets; the pushed part is the sum increment of a pair letter and
+    half that of a composition letter."""
     if family == "S":
-        return ((m + 2) * plus[0],) + plus[1:], ((m + 1) * plus[0],) + minus
-    if len(plus) < 2:
-        return None
-    return (
-        ((m + 1) * plus[0] + (m + 2) * plus[1],) + plus[2:],
-        (m * plus[0] + (m + 1) * plus[1],) + minus,
-    )
+        a1, = core
+        return (m + 2) * a1, (m + 1) * a1
+    a1, a2 = core
+    return (m + 1) * a1 + (m + 2) * a2, m * a1 + (m + 1) * a2
+
+
+def _walk(letters, plus, minus) -> tuple[Optional[tuple], list[int]]:
+    """Apply ``letters``, a word's letters with the last-applied one first, to
+    the raw pair (plus, minus), in O(1) per letter.
+
+    Each side is held as a list of its parts in reverse order, first part
+    last, as in :func:`_strip`.  A letter pops what it consumes from its
+    own side, puts back the new first part and pushes the other part onto
+    the other side (:func:`_ends`).  Returns the final raw pair and the
+    letters' sum increments, in application order.  A T letter on a
+    one-part side makes null: the walk then returns None and the
+    increments of the letters applied before that one.
+    """
+    plus, minus = list(plus[::-1]), list(minus[::-1])
+    increments = []
+    for l in reversed(letters):
+        own, other = (plus, minus) if l.sign == 1 else (minus, plus)
+        if l.family == "T" and len(own) < 2:
+            return None, increments
+        core = (own.pop(),) if l.family == "S" else (own.pop(), own.pop())
+        first, pushed = _ends(l.family, l.m, core)
+        own.append(first)
+        other.append(pushed)
+        increments.append(pushed)
+    return (tuple(plus[::-1]), tuple(minus[::-1])), increments
 
 
 def apply_letter(l: SeaweedLetter, a: MaybeBiComposition) -> MaybeBiComposition:
     """Apply one letter; the null element absorbs everything."""
-    if a is NULL:
-        return NULL
-    raw = _apply_raw(l.family, l.sign, l.m, a.plus.parts, a.minus.parts)
-    if raw is None:
-        return NULL
-    return BiComposition(Composition(raw[0]), Composition(raw[1]))
+    return evaluate(SeaweedWord((l,)), a)
 
 
 def evaluate(w: SeaweedWord, a: MaybeBiComposition) -> MaybeBiComposition:
-    """Apply a word right to left; the empty word is the identity."""
-    for l in reversed(w.letters):
-        a = apply_letter(l, a)
-    return a
+    """Apply a word right to left, in O(1) per letter (:func:`_walk`); the
+    empty word is the identity and the null element absorbs everything."""
+    if a is NULL:
+        return NULL
+    raw = _walk(w.letters, a.plus.parts, a.minus.parts)[0]
+    return NULL if raw is None else BiComposition(Composition(raw[0]), Composition(raw[1]))
 
 
 def w_sequence(w: SeaweedWord, a: BiComposition) -> WSequence:
     """Sum increments (m_1, ..., m_k) along the suffix evaluations at ``a``.
 
     Requires w(a) to be a genuine pair; raises :class:`NullEncountered`
-    as soon as some suffix evaluates to null.
+    naming the letter at which a suffix first evaluates to null.
     """
     if a is NULL:
         raise NullEncountered("base pair is the null element")
-    increments = []
-    cur: MaybeBiComposition = a
-    for l in reversed(w.letters):
-        nxt = apply_letter(l, cur)
-        if nxt is NULL:
-            raise NullEncountered(f"suffix ending at letter {l} evaluates to null")
-        increments.append(nxt.total - cur.total)
-        cur = nxt
+    raw, increments = _walk(w.letters, a.plus.parts, a.minus.parts)
+    if raw is None:
+        l = w.letters[-1 - len(increments)]
+        raise NullEncountered(f"suffix ending at letter {l} evaluates to null")
     values = tuple(reversed(increments))
     return WSequence(values, beta=sum(1 for v in values if v > 1))
 

@@ -17,8 +17,8 @@ from functools import cache
 from seaweeds import BiComposition, Composition, iter_compositions
 from seaweeds.counting import _kind
 from seaweeds.meander import component_counts, partner_array
-from seaweeds.parabolic_words import ParabolicWord, _apply_raw_p, letter_p
-from seaweeds.seaweed_words import SeaweedWord, _apply_raw, letter
+from seaweeds.parabolic_words import ParabolicWord, _walk_p, letter_p
+from seaweeds.seaweed_words import SeaweedWord, _walk, letter
 
 DEFAULT_SEED = 20120521
 
@@ -68,7 +68,7 @@ def random_seaweed_instance(
         if not options:
             break
         fam, sign, m = rng.choice(options)
-        plus, minus = _apply_raw(fam, sign, m, plus, minus)
+        plus, minus = _walk((letter(fam, sign, m),), plus, minus)[0]
         applied.append(letter(fam, sign, m))
     return a, SeaweedWord(tuple(reversed(applied)))
 
@@ -98,7 +98,7 @@ def random_parabolic_instance(
         if not options:
             break
         fam, tilde, m = rng.choice(options)
-        a = _apply_raw_p(fam, tilde, m, a)
+        a = _walk_p((letter_p(fam, tilde, m),), a)[0]
         applied.append(letter_p(fam, tilde, m))
     return base, ParabolicWord(tuple(reversed(applied)))
 
@@ -125,6 +125,35 @@ def reference_partners(parts: tuple[int, ...], n: int) -> list[int]:
             nbr[hi - i] = lo + i
         lo = hi + 1
     return nbr
+
+
+def reference_ascii(g) -> str:
+    """An ascii meander diagram drawn by the direct rule: an arc's depth is
+    found by scanning every arc of its layer for one around it, and each
+    depth's row is filled in the layer's arc order."""
+    width = 2 * g.n - 1
+
+    def arc_rows(arcs, opening, closing):
+        by_depth = {}
+        for u, v in arcs:
+            u, v = min(u, v), max(u, v)
+            depth = sum(1 for x, y in arcs if min(x, y) < u and max(x, y) > v)
+            by_depth.setdefault(depth, []).append((u, v))
+        rows = []
+        for depth in sorted(by_depth):
+            row = [" "] * width
+            for u, v in by_depth[depth]:
+                row[2 * u - 2] = opening
+                row[2 * v - 2] = closing
+                for c in range(2 * u - 1, 2 * v - 2):
+                    row[c] = "-"
+            rows.append("".join(row).rstrip())
+        return rows
+
+    vertex_row = " ".join(str(v % 10) for v in range(1, g.n + 1))
+    top_rows = arc_rows(g.top_arcs, "/", "\\")
+    bottom_rows = arc_rows(g.bottom_arcs, "\\", "/")
+    return "\n".join(top_rows + [vertex_row] + bottom_rows[::-1]) + "\n"
 
 
 def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int, int]:

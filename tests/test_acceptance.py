@@ -42,8 +42,8 @@ from seaweeds import (
 )
 from seaweeds.counting import _kind, diagonal_counts
 from seaweeds.meander import component_counts, partner_array
-from seaweeds.parabolic_words import _apply_raw_p, letter_p
-from seaweeds.seaweed_words import _apply_raw, _factorize_raw, letter
+from seaweeds.parabolic_words import _walk_p, letter_p
+from seaweeds.seaweed_words import _factorize_raw, _walk, letter
 
 
 @pytest.fixture(scope="session")
@@ -161,19 +161,19 @@ def test_criterion_6_operator_laws():
             pp, pm = len(plus), len(minus)
             total = n
             for m in range(6):
-                out = _apply_raw("S", 1, m, plus, minus)
+                out = _walk((letter("S", 1, m),), plus, minus)[0]
                 assert (len(out[0]), len(out[1])) == (pp, pm + 1)
                 assert sum(out[0]) == total + (m + 1) * plus[0] == sum(out[1])
-                out = _apply_raw("S", -1, m, plus, minus)
+                out = _walk((letter("S", -1, m),), plus, minus)[0]
                 assert (len(out[0]), len(out[1])) == (pp + 1, pm)
                 assert sum(out[0]) == total + (m + 1) * minus[0]
-                out = _apply_raw("T", 1, m, plus, minus)
+                out = _walk((letter("T", 1, m),), plus, minus)[0]
                 if pp > 1:
                     assert (len(out[0]), len(out[1])) == (pp - 1, pm + 1)
                     assert sum(out[0]) == total + m * plus[0] + (m + 1) * plus[1]
                 else:
                     assert out is None
-                out = _apply_raw("T", -1, m, plus, minus)
+                out = _walk((letter("T", -1, m),), plus, minus)[0]
                 if pm > 1:
                     assert (len(out[0]), len(out[1])) == (pp + 1, pm - 1)
                     assert sum(out[0]) == total + m * minus[0] + (m + 1) * minus[1]
@@ -185,10 +185,10 @@ def test_criterion_6_operator_laws():
             r = len(parts)
             for m in range(6):
                 for tilde in (False, True):
-                    out = _apply_raw_p("S", tilde, m, parts)
+                    out = _walk_p((letter_p("S", tilde, m),), parts)[0]
                     assert len(out) == r + 1
                     assert sum(out) == n + 2 * (m + 1) * parts[0]
-                    out = _apply_raw_p("T", tilde, m, parts)
+                    out = _walk_p((letter_p("T", tilde, m),), parts)[0]
                     assert len(out) == r
                     if r > 1:
                         assert sum(out) == n + 2 * m * parts[0] + 2 * (m + 1) * parts[1]
@@ -246,7 +246,7 @@ def _check_seaweed_unit_step_laws(w):
     applied = list(reversed(w.letters))
     chain = [((1,), (1,))]
     for l in applied:
-        chain.append(_apply_raw(l.family, l.sign, l.m, *chain[-1]))
+        chain.append(_walk((l,), *chain[-1])[0])
     incs = [
         sum(chain[s + 1][0]) - sum(chain[s][0]) for s in range(len(applied))
     ]
@@ -303,7 +303,7 @@ def _check_parabolic_unit_step_laws(w, start):
     applied = list(reversed(w.letters))
     chain = [start]
     for l in applied:
-        chain.append(_apply_raw_p(l.family, l.tilde, l.m, chain[-1]))
+        chain.append(_walk_p((l,), chain[-1])[0])
     incs = [sum(chain[s + 1]) - sum(chain[s]) for s in range(len(applied))]
 
     for s, l in enumerate(applied):

@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import (
     pair_sweep,
     random_bicomposition,
     random_composition,
+    reference_ascii,
     reference_census,
     reference_partners,
 )
@@ -283,6 +285,44 @@ def test_render_ascii():
     assert len(vertex_row.split()) == 7
     text = "".join(lines)
     assert text.count("/") == 6 and text.count("\\") == 6  # 3 arcs per layer
+
+
+def random_crossing_layer(rng, n):
+    """Arcs on random disjoint vertex pairs of 1..n, crossings allowed, each
+    in random orientation."""
+    vertices = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+    return frozenset(zip(vertices[::2], vertices[1::2]))
+
+
+def test_render_ascii_matches_the_direct_rule():
+    """Every layer of sum <= 8 (as both layers of a pair) and 2,000 seeded
+    hand-built graphs with crossing arcs render as the direct rule draws
+    them."""
+    for n in range(1, 9):
+        for c in iter_compositions(n):
+            g = build_meander(BiComposition(Composition(c), Composition(c)))
+            assert render(g, "ascii") == reference_ascii(g)
+    rng = make_rng()
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        g = MeanderGraph(n, random_crossing_layer(rng, n), random_crossing_layer(rng, n))
+        assert render(g, "ascii") == reference_ascii(g)
+
+
+def test_render_ascii_of_many_arcs_finishes_at_once():
+    # 16,000 arcs: the depth sweep takes milliseconds, the direct rule close
+    # to a minute
+    k = 8000
+    plus, minus = Composition((2,) * k), Composition((1,) + (2,) * (k - 1) + (1,))
+    g = build_meander(BiComposition(plus, minus))
+    start = time.perf_counter()
+    lines = render(g, "ascii").splitlines()
+    assert time.perf_counter() - start < 2
+    assert lines == [
+        " ".join(["/-\\"] * k),
+        " ".join(str(v % 10) for v in range(1, 2 * k + 1)),
+        "  " + " ".join(["\\-/"] * (k - 1)),
+    ]
 
 
 def test_render_unknown_format():

@@ -26,7 +26,7 @@ from seaweeds import (
     theta,
     w_sequence_p,
 )
-from seaweeds.parabolic_words import _apply_raw_p, _child_moves_p, letter_p, seed
+from seaweeds.parabolic_words import _child_moves_p, _walk_p, letter_p, seed
 from seaweeds.seaweed_words import IOTA, SeaweedWord
 
 V_WORD = ParabolicWord.parse("T~0 S~0 S0")
@@ -113,6 +113,16 @@ class TestWSequenceP:
             seq = w_sequence_p(w, a)
             assert all(v % 2 == 0 for v in seq.values)
             assert seq.beta == sum(1 for v in seq.values if v > 2)
+
+    def test_long_word_takes_linear_time(self):
+        # 50,000 letters of O(1) each take well under a second
+        a = Composition((2,) * 50_000 + (1,))
+        eps, w = factorize_p(a)
+        start = time.perf_counter()
+        seq = w_sequence_p(w, seed(eps))
+        assert time.perf_counter() - start < 2
+        assert len(seq.values) == len(w)
+        assert sum(seq.values) == a.total - seed(eps).total
 
 
 class TestParity:
@@ -280,12 +290,12 @@ class TestGenerate:
 
 def evaluated_moves(a, top):
     """Every (letter, (child,), increment) with increment <= top, from
-    ``_apply_raw_p``: S, S~, T, T~ order, m rising, and no T letter on one part."""
+    ``_walk_p``: S, S~, T, T~ order, m rising, and no T letter on one part."""
     n = sum(a)
     want = []
     for family, tilde in (("S", False), ("S", True), ("T", False), ("T", True)):
         for m in itertools.count():
-            child = _apply_raw_p(family, tilde, m, a)
+            child = _walk_p((letter_p(family, tilde, m),), a)[0]
             if child == a or sum(child) - n > top:
                 break
             want.append((letter_p(family, tilde, m), (child,), sum(child) - n))
@@ -296,7 +306,7 @@ class TestListerMatchesEvaluator:
     def test_every_move_is_its_letter_applied(self):
         """Exhaustive over the compositions of sum <= 9 and the budgets 0..12:
         the lister yields, in order, exactly the letters whose increment
-        fits, each with the child ``_apply_raw_p`` gives and the sum
+        fits, each with the child ``_walk_p`` gives and the sum
         difference as its increment."""
         top = 12
         for n in range(1, 10):
@@ -452,8 +462,8 @@ class TestFreenessMachinery:
     def test_failed_inverse_raises(self, monkeypatch):
         import seaweeds.parabolic_words as pw
 
-        # the forward code both _apply_raw_p and the strip's map-back run
-        monkeypatch.setattr(pw, "_ends_p", lambda *args: (999, 1))
+        # the letter arithmetic that both _walk_p and the strip's map-back run
+        monkeypatch.setattr(pw, "_ends", lambda *args: (999, 1))
         with pytest.raises(pw.AmbiguousInverse):
             pw.reduce_once_p(comp(2, 1))
         with pytest.raises(pw.AmbiguousInverse, match=r"from \(1, 4, 4\) suggested predecessor \(2, 1, 4\)"):

@@ -32,7 +32,7 @@ from seaweeds import (
     word_stats,
     zeta,
 )
-from seaweeds.seaweed_words import _apply_raw, _child_moves, letter, pair_nodes
+from seaweeds.seaweed_words import _child_moves, _walk, letter, pair_nodes
 
 # totals of the exhaustive meander census, frozen from an independent
 # endpoint-walk enumeration over all pairs of compositions
@@ -110,6 +110,18 @@ class TestEvaluate:
         w = SeaweedWord.parse("S+0 T+5")
         assert evaluate(w, SEED) is NULL
 
+    def test_long_word_takes_linear_time(self):
+        # 60,000 letters of O(1) each take well under a second
+        b = BiComposition(Composition((2,) * 40_000 + (1,)), Composition((80_001,)))
+        w = factorize(b)
+        start = time.perf_counter()
+        assert evaluate(w, SEED) == b
+        seq = w_sequence(w, SEED)
+        blocks = delta_decompose(w, SEED).blocks
+        assert time.perf_counter() - start < 2
+        assert sum(seq.values) == b.total - SEED.total
+        assert SeaweedWord(tuple(l for block in blocks for l in block.letters)) == w
+
     def test_word_text_round_trip(self):
         for text in ["", "S+0", "T-0 S+0", "S-1 T+2 S+0"]:
             assert str(SeaweedWord.parse(text)) == text
@@ -138,6 +150,16 @@ class TestWSequence:
     def test_null_raises(self):
         with pytest.raises(NullEncountered):
             w_sequence(SeaweedWord.parse("T+0"), SEED)
+
+    @pytest.mark.parametrize("text, culprit", [
+        ("T+0", "T+0"),          # the first-applied letter
+        ("S+0 T-5 S-0", "T-5"),  # S-0 leaves one minus part, so T-5 makes null
+        ("T+1 S+0", "T+1"),      # the last-applied letter
+    ])
+    def test_null_names_the_letter(self, text, culprit):
+        with pytest.raises(NullEncountered) as caught:
+            w_sequence(SeaweedWord.parse(text), SEED)
+        assert str(caught.value) == f"suffix ending at letter {culprit} evaluates to null"
 
 
 class TestZeta:
@@ -284,6 +306,10 @@ class TestFactorize:
         for _ in range(500):
             _, w = random_seaweed_instance(rng, math.inf, max_len=60, base=SEED, max_m=12)
             b = evaluate(w, SEED)
+            one_at_a_time = SEED
+            for l in reversed(w.letters):
+                one_at_a_time = apply_letter(l, one_at_a_time)
+            assert one_at_a_time == b
             assert factorize(b) == w
             if w.letters:  # reduce_once is the first strip of factorize
                 rest = SeaweedWord(w.letters[1:])
@@ -373,13 +399,13 @@ class TestGenerateDeficiency:
 
 
 def evaluated_moves(plus, minus, top):
-    """Every (letter, child, increment) with increment <= top, from ``_apply_raw``:
+    """Every (letter, child, increment) with increment <= top, from ``_walk``:
     family and sign in S+, S-, T+, T- order, m rising."""
     n = sum(plus)
     want = []
     for family, sign in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
         for m in itertools.count():
-            child = _apply_raw(family, sign, m, plus, minus)
+            child = _walk((letter(family, sign, m),), plus, minus)[0]
             if child is None or sum(child[0]) - n > top:
                 break
             want.append((letter(family, sign, m), child, sum(child[0]) - n))
@@ -390,7 +416,7 @@ class TestListerMatchesEvaluator:
     def test_every_move_is_its_letter_applied(self):
         """Exhaustive over the pairs of sum <= 7 and the budgets 0..12: the
         lister yields, in order, exactly the letters whose increment fits,
-        each with the child ``_apply_raw`` gives and the sum difference as
+        each with the child ``_walk`` gives and the sum difference as
         its increment."""
         top = 12
         for n in range(1, 8):
