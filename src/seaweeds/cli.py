@@ -154,21 +154,20 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
     same keys in the same order.  No value needs escaping: the values are
     ints, digits joined by commas, and letter tokens joined by spaces.
 
-    The nodes come in pre-order, so a node's parent is the latest node with
-    one letter fewer: its word is its first letter and the parent's word, and
-    ``words[d]`` holds the latest word of d letters.  Part texts come from a
-    memo that holds only the values seen, so each record costs the same
-    whatever its depth or the window.
+    The nodes come in pre-order, so a node's parent is the latest node one
+    level up: its word is its letter and the parent's word, and
+    ``words[d]`` holds the latest word of d letters.  Part values, sums and
+    part counts come as text from a memo that holds only the values seen,
+    so each record costs the same whatever its depth or the window.
     """
-    part = _Memo(str).__getitem__  # the text of each part value
+    part = _Memo(str).__getitem__  # the text of each int value
     words = [""]
     nodes = pair_nodes(n_max, t) if eps is None else composition_nodes(eps, n_max, t)
-    for state, n, _, letters in nodes:
+    for state, n, _, depth, letter in nodes:
         if t is None:
-            depth = len(letters)
             if depth:
-                words[depth:] = (f"{letters[0].text} {words[depth - 1]}" if depth > 1
-                                 else letters[0].text,)
+                words[depth:] = (f"{letter.text} {words[depth - 1]}" if depth > 1
+                                 else letter.text,)
             word = f'"word": "{words[depth]}", '
         else:
             word = ""
@@ -176,11 +175,11 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
             plus, minus = state
             yield (f'{{{word}"plus": "{",".join(map(part, plus))}", '
                    f'"minus": "{",".join(map(part, minus))}", '
-                   f'"n": {n}, "p": {len(plus) + len(minus)}}}\n')
+                   f'"n": {part(n)}, "p": {part(len(plus) + len(minus))}}}\n')
         else:
             (a,) = state
             yield (f'{{"epsilon": {eps}, {word}"parts": "{",".join(map(part, a))}", '
-                   f'"n": {n}, "p": {len(a)}}}\n')
+                   f'"n": {part(n)}, "p": {part(len(a))}}}\n')
 
 
 def _cmd_generate(args) -> int:

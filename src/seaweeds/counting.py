@@ -19,14 +19,17 @@ p parts (total parts, for pairs):
   every other node counts twice: the minus letters are the plus letters
   conjugated by the side swap, so the S- half is the mirror image of the
   S+ half, with the same sums and part counts.  The seen-set holds the
-  walked nodes and the seed's children; below those children each node
-  is checked with its swap as well, though no swap enters the set.  A
+  walked nodes and the seed's children, each as one flat key, plus +
+  minus; below those children each node is checked with its swap's key,
+  minus + plus, as well, though no swap enters the set.  A
   repeat in either half still raises: a node that is the swap of another
   walked one is found by the swap check of the later of the two, or, if
   the other is a child of the seed, is itself one (those children come
   in swap pairs) and is listed twice.  Every search starts at the kind's
-  seed and reads its sum off the seed's first side.  ``generate``
-  streams every node with its word, so it walks all of it;
+  seed and reads its sum off the seed's first side.  The tallies read
+  each node's sum and state only; a node also carries its depth and its
+  last letter, from which ``generate`` rebuilds each word in pre-order.
+  ``generate`` streams every node with its word, so it walks all of it;
 * ``diagonal_counts`` counts the deficiency diagonals without
   enumerating them: by the truncation lemma, a node with deficiency
   budget r = t - d left has a subtree that reads only the parts it can
@@ -217,8 +220,8 @@ class _Kind:
         parts.  Compositions have no such half."""
         nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
         if self.epsilon is not None:
-            return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
-        counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
+            return dict(Counter((n, len(a)) for (a,), n, _, _, _ in nodes))
+        counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _, _ in nodes)
         own_swap = (self.first_sum, 2)  # the seed (1)|(1)
         return {key: 2 * count - (key == own_swap) for key, count in counts.items()}
 

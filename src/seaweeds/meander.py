@@ -181,6 +181,10 @@ def index_parabolic(a: Composition) -> int:
     return index_of_parts(a.parts, (n,), n)
 
 
+# the largest ascii drawing rendered, in bytes; its bound grows as n^2
+_ASCII_LIMIT = 2**26
+
+
 def render(g: MeanderGraph, format: str) -> str:
     """Render a meander graph as Graphviz ``dot`` or a plain ``ascii`` diagram."""
     if format == "dot":
@@ -211,28 +215,40 @@ def _render_ascii(g: MeanderGraph) -> str:
     counted in one sweep by left end: no two arcs of a layer share a
     vertex, so those are the earlier arcs whose right end lies beyond its
     own.  Each row is filled in the layer's arc order.
+
+    A line is at most 2n bytes with its newline, so the sweep bounds the
+    drawing by its number of lines times 2n before any line is built; a
+    bound above ``_ASCII_LIMIT`` bytes raises :class:`ValueError`.
     """
     width = 2 * g.n - 1
 
-    def arc_rows(arcs, opening, closing):
+    def by_depth(arcs):
         spans = [(min(u, v), max(u, v)) for u, v in arcs]
         depth, rights = {}, []
         for u, v in sorted(spans):
             depth[u, v] = len(rights) - bisect_right(rights, v)
             insort(rights, v)
-        by_depth: dict[int, list[tuple[int, int]]] = {}
+        layers: dict[int, list[tuple[int, int]]] = {}
         for arc in spans:
-            by_depth.setdefault(depth[arc], []).append(arc)
+            layers.setdefault(depth[arc], []).append(arc)
+        return layers
+
+    def arc_rows(layers, opening, closing):
         rows = []
-        for d in sorted(by_depth):
+        for d in sorted(layers):
             row = [" "] * width
-            for u, v in by_depth[d]:  # vertex v sits in column 2v - 2
+            for u, v in layers[d]:  # vertex v sits in column 2v - 2
                 row[2 * u - 2:2 * v - 1] = opening + "-" * (2 * (v - u) - 1) + closing
             rows.append("".join(row).rstrip())
         return rows
 
+    top, bottom = by_depth(g.top_arcs), by_depth(g.bottom_arcs)
+    size = (len(top) + 1 + len(bottom)) * 2 * g.n
+    if size > _ASCII_LIMIT:
+        raise ValueError(
+            f"the ascii drawing of {g.n} vertices would take up to {size} bytes, "
+            f"more than {_ASCII_LIMIT}; use --format dot"
+        )
     vertex_row = " ".join(str(v % 10) for v in range(1, g.n + 1))
-    top_rows = arc_rows(g.top_arcs, "/", "\\")
-    bottom_rows = arc_rows(g.bottom_arcs, "\\", "/")
-    lines = top_rows + [vertex_row] + bottom_rows[::-1]
+    lines = arc_rows(top, "/", "\\") + [vertex_row] + arc_rows(bottom, "\\", "/")[::-1]
     return "\n".join(lines) + "\n"

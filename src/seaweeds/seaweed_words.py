@@ -491,11 +491,23 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     deficiency d can only take increments up to ``unit * (t - d + 1)``,
     and the budget handed to ``moves`` is capped there.
 
-    Yields nodes ``(state, total, deficiency, letters)``, where ``letters``
-    is the word reaching ``state`` from ``start``, leftmost (last-applied)
-    letter first.  Every state is checked against all states listed so
-    far; a repeat raises :class:`CollisionError`.  The stack is explicit,
-    so the depth of the walk is not limited by the interpreter.
+    Yields nodes ``(state, total, deficiency, depth, letter)``: ``letter``
+    is the last-applied letter of the word reaching ``state`` from
+    ``start``, and ``depth`` that word's length; ``start`` itself comes as
+    depth 0 and letter None.  The nodes come in pre-order, so a node's word
+    is its letter followed by the word of the latest node at depth - 1, and
+    a consumer that wants whole words rebuilds them so.  Beyond the state
+    its listing built, a node costs its seen-set key and O(1) more,
+    whatever its depth.  The stack is explicit, so the depth of the walk
+    is not limited by the interpreter.
+
+    Every state is checked against all states listed so far; a repeat
+    raises :class:`CollisionError`, which names the state.  The seen-set
+    holds one flat tuple per state, its sides concatenated: a composition
+    ``(a,)`` is keyed by ``a`` itself, and a pair by plus + minus, which
+    is injective because both sides sum to n, so plus ends where the
+    running sum first reaches n.  One ``add`` both checks and inserts: the
+    set grows unless the key was already in it.
 
     ``halve`` is for pairs from the seed, under the side swap: the minus
     letters are the plus letters conjugated by it, so the moves of a
@@ -507,56 +519,58 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     then stands for two, so a tally counts it twice.  The seen-set holds
     the walked nodes and every child of ``start``; swaps are not added to
     it, but each node below the children of ``start`` is also checked
-    with its swap.  That still finds a repeat anywhere in the full walk.
-    A node equal to its own swap finds itself.  Let a node X below the
-    children of ``start`` be the swap of another node Y of the walk.  If
-    Y is below them too, the later of X and Y finds the other by its swap
-    check.  If Y is a child of ``start``, X is one too (those children
-    come in swap pairs), so X is listed twice and the plain check raises
-    :class:`CollisionError` at the second listing.
+    with its swap, keyed minus + plus.  That still finds a repeat anywhere
+    in the full walk.  A node equal to its own swap finds itself.  Let a
+    node X below the children of ``start`` be the swap of another node Y
+    of the walk.  If Y is below them too, the later of X and Y finds the
+    other by its swap check.  If Y is a child of ``start``, X is one too
+    (those children come in swap pairs), so X is listed twice and the
+    plain check raises :class:`CollisionError` at the second listing.
     """
     _check_bounds(n_max, t)
     total = sum(start[0])
     if total > n_max:
         return
     if total >= unit:
-        yield start, total, 0, ()
+        yield start, total, 0, 0, None
     room = n_max - total
     if room < unit:
         return
-    seen = {start}
-    stack = [(moves(*start, room if t is None else min(room, unit * (t + 1))), total, 0, ())]
+    seen = {sum(start, ())}
+    stack = [(moves(*start, room if t is None else min(room, unit * (t + 1))), total, 0)]
     while stack:
-        listing, total, deficit, letters = stack[-1]
-        for l, key, inc in listing:
+        listing, total, deficit = stack[-1]
+        depth = len(stack)  # of the children this listing gives
+        for l, state, inc in listing:
             if t is None:
                 child_deficit = 0
             else:
                 child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                 if child_deficit > t:
                     continue
-            if key in seen:
+            size = len(seen)
+            seen.add(sum(state, ()))
+            if len(seen) == size:
                 raise CollisionError(
-                    f"{'|'.join(map(str, key))} reached twice; "
+                    f"{'|'.join(map(str, state))} reached twice; "
                     f"second route ends with letter {l}"
                 )
-            seen.add(key)
             if halve:
-                twin = key[::-1]
-                if letters:  # each node below the start's children stands for its swap
-                    if twin in seen:
+                plus, minus = state
+                if depth > 1:  # each node below the start's children stands for its swap
+                    if minus + plus in seen:
                         raise CollisionError(
-                            f"{'|'.join(map(str, twin))} reached twice; second route "
+                            f"{minus}|{plus} reached twice; second route "
                             f"is the mirror of one ending with letter {l}"
                         )
-                elif key < twin:  # the half: one child of each swap pair
+                elif plus < minus:  # the half: one child of each swap pair
                     continue
-            n, child = total + inc, (l,) + letters
-            yield key, n, child_deficit, child
+            n = total + inc
+            yield state, n, child_deficit, depth, l
             room = n_max - n
             if room >= unit:
                 budget = room if t is None else min(room, unit * (t - child_deficit + 1))
-                stack.append((moves(*key, budget), n, child_deficit, child))
+                stack.append((moves(*state, budget), n, child_deficit))
                 break
         else:
             stack.pop()
@@ -564,7 +578,9 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
 
 def pair_nodes(n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
     """Raw search nodes of the Frobenius pairs with sum <= n_max (and
-    deficiency <= t when given), as :func:`_search` yields them."""
+    deficiency <= t when given), as :func:`_search` yields them:
+    ``((plus, minus), n, deficiency, depth, letter)``, in pre-order, with
+    the seed first at depth 0."""
     return _search(_SEED_RAW, _child_moves, n_max, t)
 
 
@@ -575,8 +591,11 @@ def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]
     fits the budget, in pre-order with children in :func:`_child_moves`
     order; reaching any pair twice raises :class:`CollisionError`.
     """
-    for (plus, minus), _, _, letters in pair_nodes(n_max):
-        yield SeaweedWord(letters), BiComposition(Composition(plus), Composition(minus))
+    words = [()]  # words[d]: the latest word of d letters, as in pre-order
+    for (plus, minus), _, _, depth, l in pair_nodes(n_max):
+        if depth:
+            words[depth:] = ((l,) + words[depth - 1],)
+        yield SeaweedWord(words[depth]), BiComposition(Composition(plus), Composition(minus))
 
 
 def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiComposition]]:
@@ -588,5 +607,5 @@ def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiCompos
     emitted, annotated as (n, p, pair), and the stream is exactly the
     deficiency <= t slice of the full generator's output.
     """
-    for (plus, minus), n, _, _ in pair_nodes(n_max, t):
+    for (plus, minus), n, _, _, _ in pair_nodes(n_max, t):
         yield n, len(plus) + len(minus), BiComposition(Composition(plus), Composition(minus))

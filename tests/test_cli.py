@@ -182,6 +182,14 @@ class TestMeander:
         code, out, _ = run(capsys, "meander", "2,2", "--format", "dot")
         assert code == 0 and out.count("--") == 4
 
+    def test_ascii_above_the_size_limit_exits_2_at_once(self, capsys):
+        # (100000 | 100000) would draw 100,001 lines of 2 * 10**5 bytes each
+        start = time.perf_counter()
+        assert run(capsys, "meander", "100000") == (2, "", (
+            "error: the ascii drawing of 100000 vertices would take up to 20000200000 "
+            "bytes, more than 67108864; use --format dot\n"))
+        assert time.perf_counter() - start < 10
+
     def test_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
         code, out, _ = run(capsys, "meander", "2", "2", "--format", "dot", "--out", str(target))
@@ -289,7 +297,8 @@ class TestGenerate:
 class TestStreamWindow:
     """Rendering keeps nothing sized by the window: at --t 0 and a window of
     10**12 the first records come at once, and rendering them takes little
-    memory beyond what the walk holds (its seen-set keeps every state)."""
+    memory beyond what the walk holds (its seen-set keeps one flat key per
+    state, and each node reaches the renderer as its depth and letter)."""
 
     @staticmethod
     def traced_peak(items) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -332,7 +333,7 @@ def _subtree_tally(spec, state, r, window):
     pruned to deficiency r, within ``window`` above the state's sum."""
     total = sum(state[0])
     return Counter((n - total, d)
-                   for _, n, d, _ in sw._search(state, spec.moves, total + window, r, spec.unit))
+                   for _, n, d, _, _ in sw._search(state, spec.moves, total + window, r, spec.unit))
 
 
 class TestTruncationLemma:
@@ -429,7 +430,7 @@ class TestSwapMerge:
 def _full_tally(n_max, t=None):
     """The seaweed tally of the full walk, both mirror halves, as ``generate`` walks it."""
     nodes = pair_nodes(n_max, t)
-    return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes))
+    return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _, _ in nodes))
 
 
 def _planted(plants):
@@ -459,6 +460,10 @@ def _bogus_lister(plus, minus, budget):
 # the S+ half, and the planted letter takes the first to sum 6
 _DEEP, _OTHER = ((4,), (2, 1, 1)), ((6,), (3, 2, 1))
 
+# the two CollisionError texts of the search
+_TWICE = "{} reached twice; second route ends with letter {}"
+_MIRROR = "{} reached twice; second route is the mirror of one ending with letter {}"
+
 
 class TestHalfWalk:
     """The seaweed tallies walk the seed and the S+ half of the search and
@@ -475,25 +480,54 @@ class TestHalfWalk:
                 assert deficiency_table("seaweed", t, n_max).entries == \
                     _full_tally(n_max, t), (t, n_max)
 
-    @pytest.mark.parametrize("lister", [
-        pytest.param(_bogus_lister, id="root"),
-        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER, 2)]}), id="deep-in-half"),
+    @pytest.mark.parametrize("lister, full, half", [
+        pytest.param(_bogus_lister, _TWICE.format("(2,)|(1, 1)", "S+0"),
+                     _TWICE.format("(2,)|(1, 1)", "S+0"), id="root"),
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER, 2)]}),
+                     _TWICE.format("(6,)|(3, 2, 1)", "S+0"),
+                     _TWICE.format("(6,)|(3, 2, 1)", "S+0"), id="deep-in-half"),
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), _OTHER[::-1], 2)]}),
-                     id="across-halves"),
+                     _TWICE.format("(6,)|(3, 2, 1)", "S-7"),
+                     _MIRROR.format("(3, 2, 1)|(6,)", "S+0"), id="across-halves"),
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((3, 3), (3, 3)), 2)]}),
-                     id="own-swap"),
+                     _TWICE.format("(3, 3)|(3, 3)", "S-7"),
+                     _MIRROR.format("(3, 3)|(3, 3)", "S+7"), id="own-swap"),
         # the seed's S+3 child, listed after the S+0 subtree that holds _DEEP
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((5,), (4, 1)), 1)]}),
-                     id="later-root-sibling"),
+                     _TWICE.format("(5,)|(4, 1)", "S+3"),
+                     _TWICE.format("(5,)|(4, 1)", "S+3"), id="later-root-sibling"),
     ])
-    def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister):
+    def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister, full, half):
+        """Each error names the repeated pair, not the seen-set's flat key."""
         monkeypatch.setattr(sw, "_child_moves", lister)
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as raised:
             list(pair_nodes(8))  # the full walk meets the repeat too
-        with pytest.raises(CollisionError):
+        assert str(raised.value) == full
+        with pytest.raises(CollisionError) as raised:
             generated_table("seaweed", 8)
-        with pytest.raises(CollisionError):
+        assert str(raised.value) == half
+        with pytest.raises(CollisionError) as raised:
             deficiency_table("seaweed", 4, 8)
+        assert str(raised.value) == half
+
+    def test_distinct_pairs_have_distinct_flat_keys(self):
+        """The seen-set keys a pair by plus + minus: both sides sum to n, so
+        plus ends where the running sum first reaches n.  Checked on every
+        pair of every sum up to 7."""
+        keys = [sum((plus, minus), ()) for n in range(1, 8)
+                for plus in iter_compositions(n) for minus in iter_compositions(n)]
+        assert len(keys) == sum(4 ** (n - 1) for n in range(1, 8))
+        assert len(set(keys)) == len(keys)
+
+    def test_seaweed_table_peak_memory(self):
+        """One flat key per walked pair, not a tuple of two side tuples."""
+        tracemalloc.start()
+        try:
+            generated_table("seaweed", 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_planted_lister_without_a_repeat_tallies_both_halves(self, monkeypatch):
         # a fresh pair planted at _DEEP and, mirrored, at its swap: no repeat,
@@ -568,11 +602,11 @@ class TestKindRows:
                 continue
             if kind == "parabolic-odd":  # the seed's children come first
                 l, child, inc = next(spec.moves(*spec.seed, n_max - seed_sum))
-                assert nodes[0] == (child, seed_sum + inc, 0, (l,)), n_max
-                assert all(letters for *_, letters in nodes), n_max
+                assert nodes[0] == (child, seed_sum + inc, 0, 1, l), n_max
+                assert all(depth for _, _, _, depth, _ in nodes), n_max
             else:
-                assert nodes[0] == (spec.seed, seed_sum, 0, ()), (kind, n_max)
-            assert min(n for _, n, _, _ in nodes) == spec.first_sum, (kind, n_max)
+                assert nodes[0] == (spec.seed, seed_sum, 0, 0, None), (kind, n_max)
+            assert min(n for _, n, _, _, _ in nodes) == spec.first_sum, (kind, n_max)
             assert min(n for n, _ in tallied) == spec.first_sum, (kind, n_max)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import sys
@@ -28,6 +29,7 @@ from seaweeds import (
     rho,
     theta,
 )
+from seaweeds import meander
 from seaweeds.meander import MeanderGraph, component_counts, partner_array, path_size
 
 EXAMPLE = BiComposition.parse("2,3,2|4,3")
@@ -323,6 +325,35 @@ def test_render_ascii_of_many_arcs_finishes_at_once():
         " ".join(str(v % 10) for v in range(1, 2 * k + 1)),
         "  " + " ".join(["\\-/"] * (k - 1)),
     ]
+
+
+# sha256 of the ascii drawings of every pair of sum <= 7, in the order of
+# iter_compositions for each side, recorded before drawings got a size limit
+SMALL_ASCII_SHA256 = "982ab8893c8c114581d9307596aed01f84a53aeb5aba4395bcf27b0a2b42f055"
+
+
+def test_render_ascii_of_small_pairs_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        comps = [Composition(c) for c in iter_compositions(n)]
+        for plus, minus in itertools.product(comps, comps):
+            out = render(build_meander(BiComposition(plus, minus)), "ascii")
+            assert len(out) <= 2 * n * out.count("\n"), (plus, minus)  # the size bound
+            digest.update(out.encode())
+    assert digest.hexdigest() == SMALL_ASCII_SHA256
+
+
+def test_render_ascii_refuses_a_drawing_above_the_limit(monkeypatch):
+    # EXAMPLE draws 1 top line, the vertex row and 2 bottom lines: 4 * 14 bytes
+    g = build_meander(EXAMPLE)
+    monkeypatch.setattr(meander, "_ASCII_LIMIT", 56)
+    assert render(g, "ascii").count("\n") == 4
+    monkeypatch.setattr(meander, "_ASCII_LIMIT", 55)
+    with pytest.raises(ValueError) as raised:
+        render(g, "ascii")
+    assert str(raised.value) == ("the ascii drawing of 7 vertices would take up to 56 bytes, "
+                                 "more than 55; use --format dot")
+    assert render(g, "dot").count("--") == 6
 
 
 def test_render_unknown_format():

@@ -456,8 +456,10 @@ class TestFreenessMachinery:
             yield pw.letter_p("S", True, 0), ((2, 1),), 2
 
         monkeypatch.setattr(pw, "_child_moves_p", bogus)
-        with pytest.raises(pw.CollisionError):
+        # the error names the composition, which is also its seen-set key
+        with pytest.raises(pw.CollisionError) as raised:
             list(pw.generate_frobenius_p(1, 5))
+        assert str(raised.value) == "(2, 1) reached twice; second route ends with letter S0"
 
     def test_failed_inverse_raises(self, monkeypatch):
         import seaweeds.parabolic_words as pw

@@ -374,9 +374,9 @@ class TestGenerateDeficiency:
             assert p >= n + 1 - 2
 
     def test_chain_deeper_than_the_recursion_limit(self):
-        lengths = [len(letters) for _, _, _, letters in pair_nodes(3000, 0)]
-        assert len(lengths) == 2 * 3000 - 1
-        assert max(lengths) == 2999
+        depths = [depth for _, _, _, depth, _ in pair_nodes(3000, 0)]
+        assert len(depths) == 2 * 3000 - 1
+        assert max(depths) == 2999
 
     def test_capped_budget_discards_only_t_letters(self, monkeypatch):
         """Under the deficit cap every S letter offered fits; T letters sit
