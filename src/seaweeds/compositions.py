@@ -12,7 +12,8 @@ The operator machinery needs one extra value: an absorbing null element
 part counts are zero by convention.
 
 All values here are immutable and hashable, so they can be shared between
-threads and used as set members.
+threads and used as set members.  :class:`_Value` is the base of the
+package's value classes.
 
 Canonical text forms (used by the CLI and test fixtures):
 
@@ -23,8 +24,45 @@ Canonical text forms (used by the CLI and test fixtures):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its ``__slots__``, names in ``_fields`` the ones that
+    equality, hashing, ``repr`` and pickling read, in constructor order, and
+    sets each slot once in a written-out ``__init__`` through
+    ``object.__setattr__``.  A value equals only values of its own class;
+    assigning or deleting an attribute raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class NullElement:
@@ -55,14 +93,13 @@ class NullElement:
 NULL = NullElement()
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Value):
     """A nonempty sequence of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
         for a in parts:
@@ -99,24 +136,23 @@ class Composition:
         return cls(tuple(map(int, pieces)))
 
 
-@dataclass(frozen=True)
-class BiComposition:
+class BiComposition(_Value):
     """An ordered pair of compositions with equal sums.
 
     Construction rejects pairs with unequal sums; this is the sole
     validity condition beyond each side being a composition.
     """
 
-    plus: Composition
-    minus: Composition
+    __slots__ = _fields = ("plus", "minus")
 
-    def __post_init__(self):
-        plus, minus = self.plus, self.minus
+    def __init__(self, plus: Composition, minus: Composition):
         if plus.total != minus.total:
             raise ValueError(
                 f"sides must have equal sums: {plus} sums to {plus.total}, "
                 f"{minus} sums to {minus.total}"
             )
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     @property
     def total(self) -> int:

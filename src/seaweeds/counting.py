@@ -72,11 +72,11 @@ top-order difference marks from which n onward it matches.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import parabolic_words, seaweed_words
+from .compositions import _Value
 # iter_compositions, component_counts, partner_array and the generate_* names
 # are not called here; they stay bound because perfbench/tracing.py wraps this
 # module's bindings of them.
@@ -99,8 +99,7 @@ class UnstableSequence(ValueError):
     """No qualifying constant tail in the higher finite differences."""
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(_Value):
     """Pairs (no epsilon), or compositions of parity epsilon: a composition
     ``a`` of n is the seaweed ``(a | (n))`` with the bottom block uncounted.
 
@@ -112,10 +111,13 @@ class _Kind:
     seed (1) is, so a walk that yields anything yields ``first_sum`` first.
     """
 
-    name: str
-    epsilon: Optional[int]
-    unit: int
-    seed: tuple
+    __slots__ = _fields = ("name", "epsilon", "unit", "seed")
+
+    def __init__(self, name: str, epsilon: Optional[int], unit: int, seed: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def moves(self) -> Callable:
@@ -339,13 +341,15 @@ def _census_sides(
                           and cuts >> (rest - size - 1) & 1)]
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Value):
     """Counts per (sum, parts); entries hold positive counts only."""
 
-    kind: str
-    method: str
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "method", "entries")
+
+    def __init__(self, kind: str, method: str, entries: Optional[dict] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     def count(self, n: int, p: int) -> int:
         return self.entries.get((n, p), 0)
@@ -553,8 +557,7 @@ def deficiency_sequence(kind: str, t: int, n_range: range) -> list[int]:
     return spec.sequence(counts.get(t, {}), n_range)
 
 
-@dataclass(frozen=True)
-class PolyFit:
+class PolyFit(_Value):
     """A polynomial matching a counting sequence from some point on.
 
     ``coefficients`` are exact rationals in the monomial basis, constant
@@ -563,12 +566,23 @@ class PolyFit:
     to the window's end.
     """
 
-    t: int
-    degree: int
-    coefficients: tuple[Fraction, ...]
-    stable_from: int
-    window: tuple[int, int]
-    epsilon: Optional[int] = None
+    __slots__ = _fields = ("t", "degree", "coefficients", "stable_from", "window", "epsilon")
+
+    def __init__(
+        self,
+        t: int,
+        degree: int,
+        coefficients: tuple[Fraction, ...],
+        stable_from: int,
+        window: tuple[int, int],
+        epsilon: Optional[int] = None,
+    ):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "stable_from", stable_from)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "epsilon", epsilon)
 
     def evaluate(self, n: int) -> Fraction:
         acc = Fraction(0)
@@ -681,17 +695,24 @@ EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    name: str
-    matched: bool
-    details: tuple[str, ...]
-    fits: tuple[Optional[PolyFit], ...]
+class VerifyRow(_Value):
+    __slots__ = _fields = ("name", "matched", "details", "fits")
+
+    def __init__(
+        self, name: str, matched: bool, details: tuple[str, ...],
+        fits: tuple[Optional[PolyFit], ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "fits", fits)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    rows: tuple[VerifyRow, ...]
+class VerifyReport(_Value):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[VerifyRow, ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def all_match(self) -> bool:

@@ -25,17 +25,17 @@ Frobenius means index zero, equivalently the graph is one single path.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right, insort
-from dataclasses import dataclass
+from bisect import bisect_left, insort
 
-from .compositions import BiComposition, Composition
+from .compositions import BiComposition, Composition, _Value
 
 
 def partner_array(parts, n: int) -> tuple[int, ...]:
     """Partner vertex of each position 0..n-1 under one layer of arcs.
 
-    Entry -1 marks a bare vertex.  This flat form is what the exhaustive
-    counting loops consume; ``build_meander`` dresses it up as arc sets.
+    Entry -1 marks a bare vertex.  This flat form serves the index queries
+    (:func:`index_of_parts`) and ``build_meander``, which dresses it up as
+    arc sets; the census counts from ``counting._block_arcs`` instead.
     A sum above ``sys.maxsize``, or parts that do not sum to ``n``, are
     rejected before anything is allocated.  The partners of a block at
     positions lo..hi-1 are hi-1, ..., lo, so a block of two or more vertices
@@ -108,33 +108,37 @@ def path_size(top: tuple[int, ...], bot: tuple[int, ...], end: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class MeanderGraph:
+class MeanderGraph(_Value):
     """Meander graph on vertices 1..n with top and bottom arc sets."""
 
-    n: int
-    top_arcs: frozenset[tuple[int, int]]
-    bottom_arcs: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("n", "top_arcs", "bottom_arcs")
 
-    def __post_init__(self):
-        for arcs in (self.top_arcs, self.bottom_arcs):
+    def __init__(
+        self, n: int, top_arcs: frozenset[tuple[int, int]], bottom_arcs: frozenset[tuple[int, int]]
+    ):
+        for arcs in (top_arcs, bottom_arcs):
             touched = set()
             for u, v in arcs:
                 if u == v:
                     raise ValueError(f"arc pairs a vertex with itself: {(u, v)}")
-                if not (1 <= u <= self.n and 1 <= v <= self.n):
-                    raise ValueError(f"arc {(u, v)} leaves the vertex range 1..{self.n}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"arc {(u, v)} leaves the vertex range 1..{n}")
                 if u in touched or v in touched:
                     raise ValueError(f"vertex reused within one layer by arc {(u, v)}")
                 touched.update((u, v))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "top_arcs", top_arcs)
+        object.__setattr__(self, "bottom_arcs", bottom_arcs)
 
 
-@dataclass(frozen=True)
-class ComponentCensus:
+class ComponentCensus(_Value):
     """Connected-component tally: cycle components and path components."""
 
-    cycles: int
-    paths: int
+    __slots__ = _fields = ("cycles", "paths")
+
+    def __init__(self, cycles: int, paths: int):
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "paths", paths)
 
 
 def build_meander(a: BiComposition) -> MeanderGraph:
@@ -214,7 +218,11 @@ def _render_ascii(g: MeanderGraph) -> str:
     is the number of arcs that start left of it and end right of it,
     counted in one sweep by left end: no two arcs of a layer share a
     vertex, so those are the earlier arcs whose right end lies beyond its
-    own.  Each row is filled in the layer's arc order.
+    own.  The sweep keeps only the right ends of arcs still open, negated
+    and ascending: an arc that ended left of u contains no later arc, so
+    it is popped before the arc (u, v) is counted, crossing arcs included.
+    Without crossings every end goes on at the back, and the sweep is
+    linear after the sort.  Each row is filled in the layer's arc order.
 
     A line is at most 2n bytes with its newline, so the sweep bounds the
     drawing by its number of lines times 2n before any line is built; a
@@ -224,10 +232,12 @@ def _render_ascii(g: MeanderGraph) -> str:
 
     def by_depth(arcs):
         spans = [(min(u, v), max(u, v)) for u, v in arcs]
-        depth, rights = {}, []
+        depth, ends = {}, []  # ends: minus the right ends of the open arcs
         for u, v in sorted(spans):
-            depth[u, v] = len(rights) - bisect_right(rights, v)
-            insort(rights, v)
+            while ends and -ends[-1] < u:
+                ends.pop()
+            depth[u, v] = bisect_left(ends, -v)
+            insort(ends, -v)
         layers: dict[int, list[tuple[int, int]]] = {}
         for arc in spans:
             layers.setdefault(depth[arc], []).append(arc)

@@ -32,7 +32,6 @@ a failure would falsify freeness of the word monoid and raises
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Optional
 
@@ -51,11 +50,13 @@ class AmbiguousInverse(RuntimeError):
     """The stripped letter does not reproduce its input: freeness violated."""
 
 
-@dataclass(frozen=True)
 class ParabolicLetter(_Letter):
-    family: str  # "S" or "T"
-    tilde: bool
-    m: int
+    __slots__ = ("tilde",)
+    _fields = ("family", "tilde", "m")
+
+    def __init__(self, family: str, tilde: bool, m: int):
+        object.__setattr__(self, "tilde", tilde)
+        self._set(family, m)
 
     def _mark(self) -> str:
         return "~" if self.tilde else ""
@@ -81,6 +82,7 @@ _S, _S_TILDE, _T, _T_TILDE = (
 class ParabolicWord(_Word):
     """A word over the parabolic alphabet."""
 
+    __slots__ = ()
     _letter = ParabolicLetter
 
 

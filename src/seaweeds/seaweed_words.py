@@ -46,11 +46,10 @@ makes the pruned generator :func:`generate_deficiency` exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, ClassVar, Iterator, Optional
 
-from .compositions import NULL, BiComposition, Composition, MaybeBiComposition
+from .compositions import NULL, BiComposition, Composition, MaybeBiComposition, _Value
 
 
 class NullEncountered(ValueError):
@@ -65,23 +64,25 @@ class CollisionError(RuntimeError):
     """Generation reached the same pair twice: freeness would be false."""
 
 
-@dataclass(frozen=True)
-class _Letter:
+class _Letter(_Value):
     """A letter of one alphabet: family S or T, a mark, and an index m >= 0.
 
-    Subclasses declare the fields ``family``, their mark's field and ``m``,
-    and ``_mark`` turns the middle one into the token's mark, checking it.
+    Subclasses add the slot of their mark, set it, and then call ``_set``;
+    their ``_fields`` are ``family``, the mark's field and ``m``, and
+    ``_mark`` turns the middle one into the token's mark, checking it.
     """
 
-    text: str = field(init=False, repr=False, compare=False)  # the token
+    __slots__ = ("family", "m", "text")  # text: the token, not compared
 
-    def __post_init__(self):
-        if self.family not in ("S", "T"):
-            raise ValueError(f"letter family must be 'S' or 'T', got {self.family!r}")
+    def _set(self, family: str, m: int) -> None:
+        if family not in ("S", "T"):
+            raise ValueError(f"letter family must be 'S' or 'T', got {family!r}")
         mark = self._mark()
-        if self.m < 0:
-            raise ValueError(f"letter index m must be >= 0, got {self.m}")
-        object.__setattr__(self, "text", f"{self.family}{mark}{self.m}")
+        if m < 0:
+            raise ValueError(f"letter index m must be >= 0, got {m}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "text", f"{family}{mark}{m}")
 
     def token(self) -> str:
         return self.text
@@ -90,16 +91,18 @@ class _Letter:
         return self.text
 
 
-@dataclass(frozen=True)
-class _Word:
+class _Word(_Value):
     """A word eta_1 ... eta_k over one alphabet; eta_k applies first.
 
     Subclasses name their letter class; equality and repr are per class,
     so equal letter tuples over the two alphabets stay distinct words.
     """
 
-    letters: tuple = ()
+    __slots__ = _fields = ("letters",)
     _letter: ClassVar[type]
+
+    def __init__(self, letters: tuple = ()):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -111,7 +114,9 @@ class _Word:
         return " ".join([l.text for l in self.letters])
 
     def __mul__(self, other: "_Word") -> "_Word":
-        """Concatenation: (v * w)(a) = v(w(a)); the result has the caller's class."""
+        """Concatenation: (v * w)(a) = v(w(a)), of two words of one class."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return type(self)(self.letters + other.letters)
 
     @classmethod
@@ -120,11 +125,13 @@ class _Word:
         return cls(tuple(cls._letter.parse(tok) for tok in text.split()))
 
 
-@dataclass(frozen=True)
 class SeaweedLetter(_Letter):
-    family: str  # "S" or "T"
-    sign: int    # +1 or -1
-    m: int
+    __slots__ = ("sign",)
+    _fields = ("family", "sign", "m")
+
+    def __init__(self, family: str, sign: int, m: int):
+        object.__setattr__(self, "sign", sign)  # +1 or -1
+        self._set(family, m)
 
     def _mark(self) -> str:
         if self.sign not in (1, -1):
@@ -174,6 +181,7 @@ _S_PLUS, _S_MINUS, _T_PLUS, _T_MINUS = (
 class SeaweedWord(_Word):
     """A word over the pair alphabet."""
 
+    __slots__ = ()
     _letter = SeaweedLetter
 
 
@@ -184,15 +192,17 @@ SEED = BiComposition(Composition((1,)), Composition((1,)))
 _SEED_RAW = ((1,), (1,))
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(_Value):
     """Letter counts of a word by family and sign."""
 
-    ell: int
-    sigma_plus: int
-    sigma_minus: int
-    tau_plus: int
-    tau_minus: int
+    __slots__ = _fields = ("ell", "sigma_plus", "sigma_minus", "tau_plus", "tau_minus")
+
+    def __init__(self, ell: int, sigma_plus: int, sigma_minus: int, tau_plus: int, tau_minus: int):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "sigma_plus", sigma_plus)
+        object.__setattr__(self, "sigma_minus", sigma_minus)
+        object.__setattr__(self, "tau_plus", tau_plus)
+        object.__setattr__(self, "tau_minus", tau_minus)
 
     @property
     def sigma(self) -> int:
@@ -203,12 +213,14 @@ class WordStats:
         return self.tau_plus + self.tau_minus
 
 
-@dataclass(frozen=True)
-class WSequence:
+class WSequence(_Value):
     """Per-letter sum increments of a word, indexed like the written word."""
 
-    values: tuple[int, ...]
-    beta: int  # number of increments above the family's unit step
+    __slots__ = _fields = ("values", "beta")
+
+    def __init__(self, values: tuple[int, ...], beta: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "beta", beta)  # increments above the family's unit step
 
 
 def word_stats(w: SeaweedWord) -> WordStats:
@@ -314,8 +326,7 @@ def bar_conjugate(w: SeaweedWord) -> SeaweedWord:
     return SeaweedWord(tuple(letter(l.family, -l.sign, l.m) for l in w.letters))
 
 
-@dataclass(frozen=True)
-class DeltaDecomposition:
+class DeltaDecomposition(_Value):
     """Blocks (w_0, z_1, w_1, ..., z_q, w_q) grouping unit-step S0 runs.
 
     Odd positions hold the z-blocks: maximal runs of letter/increment
@@ -324,7 +335,10 @@ class DeltaDecomposition:
     interior ones never are.  Concatenating all blocks restores the word.
     """
 
-    blocks: tuple[SeaweedWord, ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[SeaweedWord, ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def q(self) -> int:

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import re
@@ -325,6 +326,27 @@ def test_render_ascii_of_many_arcs_finishes_at_once():
         " ".join(str(v % 10) for v in range(1, 2 * k + 1)),
         "  " + " ".join(["\\-/"] * (k - 1)),
     ]
+
+
+def test_depth_sweep_inserts_at_the_back_of_a_layer_without_crossings(monkeypatch):
+    """The depth sweep shifts no stored end when a layer has no crossings,
+    so deep nesting costs it linear time.  Counting the shifted ends rather
+    than timing the sweep keeps the check independent of the machine: a
+    sweep that keeps every right end ascending shifts all stored ends for
+    each arc of (n | n), about n^2 / 8 per layer."""
+    shifted = []
+
+    def counting_insort(a, x):
+        shifted.append(len(a) - bisect.bisect_right(a, x))
+        bisect.insort(a, x)
+
+    monkeypatch.setattr(meander, "insort", counting_insort)
+    for text in ("400|400", "2,3,2|4,3", "1,2,3,4,5,6,7,8|8,7,6,5,4,3,2,1"):
+        g = build_meander(BiComposition.parse(text))
+        render(g, "ascii")
+        assert len(shifted) == len(g.top_arcs) + len(g.bottom_arcs), text
+        assert sum(shifted) == 0, text
+        shifted.clear()
 
 
 # sha256 of the ascii drawings of every pair of sum <= 7, in the order of
