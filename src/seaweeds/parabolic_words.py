@@ -59,6 +59,8 @@ class ParabolicLetter(_Letter):
         self._set(family, m)
 
     def _mark(self) -> str:
+        if not isinstance(self.tilde, bool):
+            raise ValueError(f"letter tilde must be a bool, got {self.tilde!r}")
         return "~" if self.tilde else ""
 
     @classmethod
@@ -69,7 +71,7 @@ class ParabolicLetter(_Letter):
         return letter_p(tok[0], tilde, _letter_index(tok, tok[2:] if tilde else tok[1:]))
 
 
-letter_p = lru_cache(maxsize=None)(ParabolicLetter)
+letter_p = lru_cache(maxsize=None, typed=True)(ParabolicLetter)  # typed, as ``letter``
 
 
 # the move lister's letters by m, as in seaweed_words

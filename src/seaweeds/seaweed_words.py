@@ -78,6 +78,8 @@ class _Letter(_Value):
         if family not in ("S", "T"):
             raise ValueError(f"letter family must be 'S' or 'T', got {family!r}")
         mark = self._mark()
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"letter index m must be an int, got {m!r}")
         if m < 0:
             raise ValueError(f"letter index m must be >= 0, got {m}")
         object.__setattr__(self, "family", family)
@@ -134,9 +136,10 @@ class SeaweedLetter(_Letter):
         self._set(family, m)
 
     def _mark(self) -> str:
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
-        return "+" if self.sign == 1 else "-"
+        sign = self.sign
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+        return "+" if sign == 1 else "-"
 
     @classmethod
     def parse(cls, tok: str) -> "SeaweedLetter":
@@ -154,8 +157,10 @@ def _letter_index(tok: str, digits: str) -> int:
     return int(digits)
 
 
-# the interned letter factory; generation shares letter objects heavily
-letter = lru_cache(maxsize=None)(SeaweedLetter)
+# the interned letter factory; generation shares letter objects heavily.
+# typed: 1 and True hash alike, and an untyped cache would hand back the
+# letter first made from either
+letter = lru_cache(maxsize=None, typed=True)(SeaweedLetter)
 
 
 class _Memo(dict):

@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import itertools
+import math
 import re
 import sys
 import time
@@ -146,6 +147,10 @@ def test_partner_array_matches_per_position_reference():
 def test_partner_array_rejects_parts_of_another_sum(parts, n):
     with pytest.raises(ValueError, match=re.escape(f"parts {parts!r} do not sum to {n}")):
         partner_array(parts, n)
+    # the index queries keep the error, on either side
+    for plus, minus in ((parts, (n,)), ((n,), parts)):
+        with pytest.raises(ValueError, match=re.escape(f"parts {parts!r} do not sum to {n}")):
+            meander.index_of_parts(plus, minus, n)
 
 
 def test_partner_array_rejects_a_sum_above_maxsize():
@@ -247,6 +252,93 @@ def test_component_partition_random():
         assert c.cycles + c.paths >= 1
         assert c.cycles * 2 <= g.n  # cycles need at least two vertices
         assert index_seaweed(a) == 2 * c.cycles + c.paths - 1
+
+
+def _index_by_union_find(plus, minus, n):
+    cycles, paths = component_counts(partner_array(plus, n), partner_array(minus, n))
+    return 2 * cycles + paths - 1
+
+
+def test_index_walk_against_union_find_exhaustive():
+    """The orbit walk of index_seaweed against union-find's
+    2 * cycles + paths - 1 on every ordered pair with sum at most 9."""
+    checked = 0
+    for n in range(1, 10):
+        comps, _, counts = pair_sweep(n)
+        sides = [Composition(c) for c in comps]
+        for (i, plus), (j, minus) in itertools.product(enumerate(sides), repeat=2):
+            cycles, paths = counts[i][j]
+            assert index_seaweed(BiComposition(plus, minus)) == 2 * cycles + paths - 1, (plus, minus)
+            checked += 1
+    assert checked == (4**9 - 1) // 3
+
+
+# one class each of the shapes the walk meets at n = 20,000, with its
+# index: one orbit (three blocks over one, two ones at the ends), few long
+# orbits, many short ones, and all-bare or all-arc sides
+LARGE_N = 20000
+LARGE_CLASSES = [
+    ((6003, 6997, 7000), (LARGE_N,), 0),
+    ((LARGE_N,), (LARGE_N,), LARGE_N - 1),
+    ((5000, 15000), (LARGE_N,), 4999),
+    ((2,) * 10000, (1,) + (2,) * 9999 + (1,), 0),
+    ((3,) * 6666 + (2,), (LARGE_N,), 3332),
+    ((1,) * LARGE_N, (LARGE_N,), LARGE_N // 2 - 1),
+    ((2,) * 10000, (2,) * 10000, LARGE_N - 1),
+]
+
+
+def test_index_walk_against_union_find_large():
+    """The same on the large classes, either way up, and on the 20001-vertex
+    single paths of gcd(10000, 10001) = 1."""
+    cases = [(top, bottom, LARGE_N, index) for plus, minus, index in LARGE_CLASSES
+             for top, bottom in ((plus, minus), (minus, plus))]
+    n = 20001
+    cases += [((10000, 10001), (n,), n, 0), ((n,), (10000, 10001), n, 0)]
+    for plus, minus, n, index in cases:
+        a = BiComposition(Composition(plus), Composition(minus))
+        assert index_seaweed(a) == _index_by_union_find(plus, minus, n) == index, (plus[:3], minus[:3])
+        assert is_frobenius(a) == (index == 0)
+
+
+def _halves(a, n):
+    """The composition (a, n - a) of n, or (n) when a is 0."""
+    return (a, n - a) if a else (n,)
+
+
+def test_two_block_closed_form_exhaustive():
+    """index(a, b | c, d) = gcd(a - c, n) - 1 for every a, c in 0..n-1 and
+    n <= 40, where 0 stands for the one block (n): tau+ and tau- are the
+    reflections i -> a - 1 - i and i -> c - 1 - i of Z/n, and sigma is the
+    rotation by c - a."""
+    checked = 0
+    for n in range(1, 41):
+        for a, c in itertools.product(range(n), repeat=2):
+            bc = BiComposition(Composition(_halves(a, n)), Composition(_halves(c, n)))
+            assert index_seaweed(bc) == math.gcd(a - c, n) - 1, (a, c, n)
+            checked += 1
+    assert checked == sum(n * n for n in range(1, 41))
+
+
+def test_two_block_closed_form_large():
+    """The same on seeded pairs with sums up to 2 * 10**4, through both
+    index_seaweed and is_frobenius; half the cases pick c - a prime to n."""
+    rng = make_rng()
+    frobenius = 0
+    for case in range(60):
+        n = rng.randint(2, 20000)
+        a = rng.randint(0, n - 1)
+        d = rng.randint(1, n - 1)
+        if case % 2:
+            while math.gcd(d, n) != 1:
+                d = rng.randint(1, n - 1)
+        c = (a + d) % n
+        bc = BiComposition(Composition(_halves(a, n)), Composition(_halves(c, n)))
+        g = math.gcd(a - c, n)
+        assert index_seaweed(bc) == g - 1, (a, c, n)
+        assert is_frobenius(bc) == (g == 1), (a, c, n)
+        frobenius += g == 1
+    assert frobenius >= 30
 
 
 def test_index_swap_and_reversal_symmetry():

@@ -46,6 +46,25 @@ class TestLetters:
         with pytest.raises(ValueError):
             ParabolicLetter.parse(bad)
 
+    @pytest.mark.parametrize("tilde, m", [("yes", 0), (1, 0), (0, 2), (None, 1), (False, 1.5),
+                                          (True, 2.0), (False, True)])
+    def test_fields_must_be_typed(self, tilde, m):
+        """The tilde is a bool and m an int (not a bool): otherwise
+        ``ParabolicLetter('S', 'yes', 0)`` would be the letter ``S~0``."""
+        with pytest.raises(ValueError):
+            ParabolicLetter("S", tilde, m)
+        with pytest.raises(ValueError):
+            letter_p("T", tilde, m)
+
+    def test_interning_keeps_the_field_types(self):
+        # a fresh key: an earlier int call must not be handed back for the bool
+        with pytest.raises(ValueError, match="tilde must be a bool"):
+            letter_p("T", 1, 54321)
+        made = letter_p("T", True, 54321)
+        assert made.tilde is True and type(made.m) is int
+        assert repr(made) == "ParabolicLetter(family='T', tilde=True, m=54321)"
+        assert made is letter_p("T", True, 54321) and made.token() == "T~54321"
+
     def test_seed_lookup(self):
         assert seed(0) == SEED_EVEN and seed(1) == SEED_ODD
         with pytest.raises(ValueError):

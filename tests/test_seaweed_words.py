@@ -67,6 +67,26 @@ class TestLetters:
         with pytest.raises(ValueError):
             SeaweedLetter("S", 0, 0)
 
+    @pytest.mark.parametrize("sign, m", [(1, 1.5), (1, True), (-1, 2.0), (True, 0), (1.0, 0),
+                                         (-1.0, 3), ("+", 0)])
+    def test_fields_must_be_ints(self, sign, m):
+        """The sign is the int 1 or -1 and m an int, never a bool or a float
+        that compares equal: otherwise ``S+1.5`` or a ``sign=True`` letter
+        would be built."""
+        with pytest.raises(ValueError):
+            SeaweedLetter("S", sign, m)
+        with pytest.raises(ValueError):
+            letter("T", sign, m)
+
+    def test_interning_keeps_the_field_types(self):
+        # a fresh key: an earlier bool call must not be handed back for the int
+        with pytest.raises(ValueError, match="sign must be"):
+            letter("T", True, 12345)
+        made = letter("T", 1, 12345)
+        assert type(made.sign) is int and type(made.m) is int
+        assert repr(made) == "SeaweedLetter(family='T', sign=1, m=12345)"
+        assert made is letter("T", 1, 12345) and made.token() == "T+12345"
+
 
 class TestApply:
     def test_sigma_plus_on_seed(self):
