@@ -81,7 +81,7 @@ from .compositions import _Value
 # are not called here; they stay bound because perfbench/tracing.py wraps this
 # module's bindings of them.
 from .compositions import iter_compositions  # noqa: F401
-from .meander import component_counts, partner_array, path_size  # noqa: F401
+from .meander import component_counts, orbit_size, partner_array  # noqa: F401
 from .parabolic_words import generate_deficiency_p, generate_frobenius_p, seed  # noqa: F401
 from .seaweed_words import (  # noqa: F401
     _SEED_RAW, _check_bounds, _search, generate_deficiency, generate_frobenius,
@@ -135,15 +135,15 @@ class _Kind(_Value):
         """(counted parts, orbit size) of every Frobenius orbit representative
         of sum n among the census candidates, with ``block`` from
         :func:`_block_arcs`; see :func:`brute_table`.  Only a candidate
-        that passes the cut tests gets its path end, the first bare vertex
-        of a side with an odd part, and its part count, one more than its
-        cuts per side (a pair's sides share none)."""
+        that passes the cut tests gets its sigma walk from vertex 0 and its
+        part count, one more than its cuts per side (a pair's sides share
+        none)."""
         if self.epsilon is not None:  # one of each composition and its reversal
             bottom = block[0][n]
             for top, cuts, mirrored in _census_sides(
                     n, 2 - n % 2, block, reversal_representatives=True,
                     skip_mirrored_cuts=True):
-                if cuts <= mirrored and path_size(top, bottom, top.index(-1)) == n:
+                if cuts <= mirrored and orbit_size(top, bottom, 0) == n:
                     yield cuts.bit_count() + 1, 1 if cuts == mirrored else 2
         elif n % 2:  # (1, 1) odd parts: each unordered pair {x, y} once per orbit
             sides = sorted((cuts, mirrored, tuple(side))
@@ -157,7 +157,7 @@ class _Kind(_Value):
                     pair = (cuts, bottom_cuts)  # sorted, as sides is
                     mirror = ((mirrored, bottom_mirrored) if mirrored <= bottom_mirrored
                               else (bottom_mirrored, mirrored))
-                    if pair <= mirror and path_size(top, bottom, top.index(-1)) == n:
+                    if pair <= mirror and orbit_size(top, bottom, 0) == n:
                         yield (cuts | bottom_cuts).bit_count() + 2, (
                             (1 if bottom_cuts == cuts else 2) * (1 if pair == mirror else 2))
         else:  # (0, 2) odd parts, each standing for its (2, 0) swap too
@@ -171,8 +171,7 @@ class _Kind(_Value):
                 palindrome = cuts == mirrored
                 for bottom, bottom_cuts, bottom_mirrored in (
                         bottom_representatives if palindrome else bottoms):
-                    if (not cuts & bottom_cuts
-                            and path_size(top, bottom, bottom.index(-1)) == n):
+                    if not cuts & bottom_cuts and orbit_size(top, bottom, 0) == n:
                         yield (cuts | bottom_cuts).bit_count() + 2, (
                             2 if palindrome and bottom_cuts == bottom_mirrored else 4)
 
@@ -267,15 +266,11 @@ def _readable_side(side: tuple, r: int) -> tuple:
 
 def _block_arcs(n_max: int) -> list[list[list[int]]]:
     """block[lo][size]: the partners of positions lo..lo+size-1 under one block
-    of that size placed at lo, its bare middle vertex -1, for lo + size <=
-    n_max.  An entry depends on lo and size alone, so one table serves every
-    sum up to n_max."""
-    block = [[list(range(lo + size - 1, lo - 1, -1)) for size in range(n_max - lo + 1)]
-             for lo in range(n_max + 1)]
-    for row in block:
-        for size in range(1, len(row), 2):
-            row[size][size // 2] = -1
-    return block
+    of that size placed at lo, i -> 2 lo + size - 1 - i, so its bare middle
+    vertex is its own partner, for lo + size <= n_max.  An entry depends on
+    lo and size alone, so one table serves every sum up to n_max."""
+    return [[list(range(lo + size - 1, lo - 1, -1)) for size in range(n_max - lo + 1)]
+            for lo in range(n_max + 1)]
 
 
 def _census_sides(
@@ -293,8 +288,8 @@ def _census_sides(
     rewritten after it: a caller that keeps it must copy it.  ``cuts`` has
     bit s - 1 set for each proper partial sum s, and ``mirrored`` bit
     n - s - 1 (the cuts of the reversed composition).  The bare middle
-    vertex of each odd block keeps -1 in ``partners``, and the number of
-    parts is one more than the number of cuts.
+    vertex of each odd block is its own partner in ``partners``, and the
+    number of parts is one more than the number of cuts.
 
     A part is placed only when the odd parts still owed fit in what is left
     after it, so with neither option no branch is a dead end.
@@ -384,9 +379,10 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     n - 1.  Hence only candidates with exactly two odd parts in total can
     be Frobenius: top and bottom odd-part counts (0, 2), (1, 1) or (2, 0)
     for pairs, and a top with 2 - (n mod 2) odd parts against the block
-    (n) for compositions.  Such a graph is one path plus cycles, so it is
-    Frobenius exactly when the walk from the bare middle vertex of its
-    first odd block covers all n vertices.
+    (n) for compositions.  Such a graph is Frobenius exactly when sigma =
+    tau- . tau+ is one n-cycle (see :mod:`~seaweeds.meander`), that is,
+    when the sigma orbit of vertex 0 (:func:`~seaweeds.meander.orbit_size`)
+    has all n vertices.
 
     Three more lemmas thin the candidates, and each one left gets exactly
     one such walk:

@@ -13,17 +13,20 @@ The index of the seaweed subalgebra attached to (a+, a-) is
 
 Index queries count it as orbits(sigma) - 1, where sigma = tau- . tau+
 and tau+ (tau-) is the involution that swaps the two ends of each top
-(bottom) arc and fixes a bare vertex.  The components are the orbits of
-the group <tau+, tau->, which acts on each as a dihedral group.  Number a
+(bottom) arc and fixes a bare vertex; :func:`partner_array` builds each
+layer as that involution.  The components are the orbits of the group
+<tau+, tau->, which acts on each as a dihedral group.  Number a
 component's vertices along it, so that its arcs join neighbours and
-alternate layers.  On a path of v
-vertices, sigma moves two steps along it and turns at each end, so it
-visits the even positions one way and the odd ones back: one v-cycle.
+alternate layers.  On a path of v vertices, sigma moves two steps along
+it and turns at each end, so it visits the even positions one way and
+the odd ones back: one v-cycle.
 On a cycle of 2k vertices it moves the even positions two steps one way
 and the odd positions two steps the other: two k-cycles.  Hence
-orbits(sigma) = paths + 2 * cycles.  Union-find over the arcs
-(:func:`component_counts`) counts the components themselves; it serves
-:func:`census` and the tests' oracle, not the index queries.
+orbits(sigma) = paths + 2 * cycles, and the orbit of one vertex
+(:func:`orbit_size`) is all of a path or half of a cycle.  Union-find
+over the arcs (:func:`component_counts`) counts the components
+themselves; it serves :func:`census` and the tests' oracle, not the
+index queries.
 
 The formula is pinned by invariants rather than taken on faith: the full
 algebra ((n),(n)) must come out with index n-1 (the rank of sl_n), the
@@ -47,31 +50,30 @@ from .compositions import BiComposition, Composition, _Value
 def partner_array(parts, n: int) -> tuple[int, ...]:
     """Partner vertex of each position 0..n-1 under one layer of arcs.
 
-    Entry -1 marks a bare vertex.  This flat form serves the index queries
+    The layer is an involution of range(n): a block at positions lo..hi-1
+    maps i to lo + hi - 1 - i, so the middle of an odd block, which meets
+    no arc, is its own partner.  This flat form serves the index queries
     (:func:`index_of_parts`, which reads it as the involution tau of one
     side), ``build_meander``, which dresses it up as arc sets, and the
     tests' union-find sweeps; the census counts from
     ``counting._block_arcs`` instead.
     A sum above ``sys.maxsize``, or parts that do not sum to ``n``, are
-    rejected before anything is allocated.  The partners of a block at
-    positions lo..hi-1 are hi-1, ..., lo, so a block of two or more vertices
-    is written with one slice assignment from a range, and then the bare
-    middle of an odd block; a block of one vertex is bare and costs nothing.
-    That is O(n) C-level steps and O(1) interpreted steps per part, and
-    nothing is held beyond the result but the block being written.
+    rejected before anything is allocated.  A block of two or more vertices
+    is one extend from a range, a block of one vertex one append: O(n)
+    C-level steps and O(1) interpreted steps per part.
     """
     if n > sys.maxsize:
         raise ValueError(f"sum {n} exceeds the largest supported sum {sys.maxsize}")
     if sum(parts) != n:
         raise ValueError(f"parts {parts!r} do not sum to {n}")
-    nbr = [-1] * n
+    nbr = []
     lo = 0
     for part in parts:
         hi = lo + part
         if part > 1:
-            nbr[lo:hi] = range(hi - 1, lo - 1, -1)
-            if part & 1:
-                nbr[lo + part // 2] = -1
+            nbr += range(hi - 1, lo - 1, -1)
+        else:
+            nbr.append(lo)
         lo = hi
     return tuple(nbr)
 
@@ -84,8 +86,9 @@ def component_counts(top: tuple[int, ...], bot: tuple[int, ...]) -> tuple[int, i
     cycle: a path of v vertices has v - 1 arcs and a cycle v.  Hence each
     cycle has exactly one arc whose ends are already joined when it comes,
     so cycles = such arcs, and paths = n - successful joins - cycles.
-    It serves :func:`census` and the tests' oracle; the index queries
-    count orbits instead (:func:`index_of_parts`).
+    An arc is read from its smaller end (``v > u``), so a bare vertex,
+    its own partner, adds none.  It serves :func:`census` and the tests'
+    oracle; the index queries count orbits instead (:func:`index_of_parts`).
     """
     n = len(top)
     parent = list(range(n))
@@ -105,24 +108,19 @@ def component_counts(top: tuple[int, ...], bot: tuple[int, ...]) -> tuple[int, i
     return cycles, n - joins - cycles
 
 
-def path_size(top: tuple[int, ...], bot: tuple[int, ...], end: int) -> int:
-    """Number of vertices on the path component that ends at vertex ``end``.
+def orbit_size(top: tuple[int, ...], bot: tuple[int, ...], v: int) -> int:
+    """Length of the orbit of vertex ``v`` under sigma = tau- . tau+.
 
-    ``end`` must be bare in at least one layer (a path end, or an isolated
-    vertex); the walk leaves it through its one arc and alternates layers
-    until it reaches the other end.  When the graph has n - 1 arcs it is
-    one path plus cycles, so it is one single path (Frobenius) exactly
-    when this returns n.
+    That is the number of vertices of ``v``'s component when it is a
+    path, and half of it when it is a cycle (see the module docstring).
+    So the graph is one single path (Frobenius) exactly when this returns
+    n, from any vertex: sigma is then one n-cycle.
     """
-    layer, other = (bot, top) if top[end] < 0 else (top, bot)
-    if other[end] >= 0:
-        raise ValueError(f"vertex {end} has an arc in both layers; it ends no path")
     size = 1
-    v = layer[end]
-    while v >= 0:
+    w = bot[top[v]]
+    while w != v:
         size += 1
-        layer, other = other, layer
-        v = layer[v]
+        w = bot[top[w]]
     return size
 
 
@@ -170,9 +168,10 @@ def build_meander(a: BiComposition) -> MeanderGraph:
 
 
 def census(g: MeanderGraph) -> ComponentCensus:
-    """Classify the components of a meander graph."""
-    top = [-1] * g.n
-    bot = [-1] * g.n
+    """Classify the components of a meander graph: partner arrays that start
+    as the identity, so a bare vertex is its own partner, then the arcs."""
+    top = list(range(g.n))
+    bot = list(range(g.n))
     for arr, arcs in ((top, g.top_arcs), (bot, g.bottom_arcs)):
         for u, v in arcs:
             arr[u - 1] = v - 1
@@ -185,12 +184,14 @@ def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int
     """Index from raw part tuples; every index query runs through it.
 
     The index is orbits(sigma) - 1 for sigma = tau- . tau+ (see the module
-    docstring), where tau+ and tau- read the partner arrays of ``plus`` and
-    ``minus`` and a bare vertex (-1) maps to itself.  Each orbit is walked
-    once from its smallest vertex, marking the vertices it meets in a
-    ``bytearray``; the next orbit starts at the next vertex, or, when that
-    is marked already, at the first unmarked one that ``bytearray.find``
-    gives.  That is O(n) steps and n bytes beyond the two partner arrays.
+    docstring), where tau+ and tau- are the partner arrays of ``plus`` and
+    ``minus``; each fixes its bare vertices, so a step is
+    ``v = bot[top[v]]`` with no branch.  Each orbit is walked once from its
+    smallest vertex, marking the vertices it meets in a ``bytearray``; the
+    next orbit starts at the next vertex, or, when that is marked already,
+    at the first unmarked one that ``bytearray.find`` gives.  That is O(n)
+    steps and n bytes beyond the two partner arrays; sigma itself is never
+    built.
 
     Two blocks a side have a closed form: index(a, b | c, d) =
     gcd(a - c, n) - 1.  A block at positions lo..hi-1 maps i to
@@ -212,12 +213,7 @@ def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int
         v = start
         while True:
             seen[v] = 1
-            w = top[v]
-            if w < 0:
-                w = v
-            v = bot[w]
-            if v < 0:
-                v = w
+            v = bot[top[v]]
             if v == start:
                 break
         start += 1

@@ -13,6 +13,7 @@ import os
 import random
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from seaweeds import BiComposition, Composition, iter_compositions
 from seaweeds.counting import _kind
@@ -115,8 +116,9 @@ def pair_sweep(n: int) -> tuple[list, list, list[list[tuple[int, int]]]]:
 
 def reference_partners(parts: tuple[int, ...], n: int) -> list[int]:
     """Partner of each position under one layer of arcs, written one
-    position at a time; -1 for a bare vertex."""
-    nbr = [-1] * n
+    position at a time over the identity, so a bare vertex is its own
+    partner."""
+    nbr = list(range(n))
     lo = 0
     for part in parts:
         hi = lo + part - 1
@@ -163,14 +165,14 @@ def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int
     seen = [False] * n
     cycles = paths = 0
     for v in range(n):
-        if seen[v] or (top[v] >= 0 and bot[v] >= 0):
+        if seen[v] or (top[v] != v and bot[v] != v):
             continue
         paths += 1
         seen[v] = True
-        cur, use_top = v, top[v] >= 0
+        cur, use_top = v, top[v] != v
         while True:
             nxt = top[cur] if use_top else bot[cur]
-            if nxt < 0 or seen[nxt]:
+            if nxt == cur or seen[nxt]:
                 break
             seen[nxt] = True
             cur, use_top = nxt, not use_top
@@ -185,6 +187,24 @@ def reference_census(plus: tuple[int, ...], minus: tuple[int, ...]) -> tuple[int
             cur = top[cur] if use_top else bot[cur]
             use_top = not use_top
     return cycles, paths
+
+
+def low_part_columns(kind: str, n: int) -> dict[int, int]:
+    """{p: F(n, p)} for the two smallest part counts p of a kind at a sum
+    n >= 2, from ``math.gcd`` alone, by the criteria of Coll, Giaquinto and
+    Magnant: (a, b | n) is Frobenius iff gcd(a, b) = 1, (a, b, c | n) iff
+    gcd(a + b, b + c) = 1, and (a, b | c, d) iff gcd(a - c, n) = 1.  With
+    T3(n) the number of Frobenius (a, b, c | n), a composition against (n)
+    has F(n, 2) = phi(n) and F(n, 3) = T3(n); a pair has F(n, 3) = 2 phi(n)
+    (a two-block side against (n), either way up) and F(n, 4) = 2 T3(n)
+    (three blocks against (n), either way up) + the number of 1 <= a, c < n
+    with gcd(a - c, n) = 1 (two blocks a side)."""
+    phi = sum(gcd(a, n) == 1 for a in range(1, n))
+    t3 = sum(gcd(a + b, n - a) == 1 for a in range(1, n - 1) for b in range(1, n - a))
+    if _kind(kind).epsilon is not None:
+        return {2: phi, 3: t3}
+    two_by_two = sum(gcd(a - c, n) == 1 for a in range(1, n) for c in range(1, n))
+    return {3: 2 * phi, 4: 2 * t3 + two_by_two}
 
 
 def odd_compositions(n: int, k: int) -> list[tuple[int, ...]]:

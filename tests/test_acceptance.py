@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     diagonal,
+    low_part_columns,
     make_rng,
     random_parabolic_instance,
     random_seaweed_instance,
@@ -111,6 +112,23 @@ def test_criterion_3_emptiness_bounds(seaweed_brute_16, parabolic_brute_24):
     assert parabolic_brute_24[0].bound_violations() == []
     assert parabolic_brute_24[1].bound_violations() == []
     print("PASS criterion 3: no counts above p=n+1 (pairs) or p=floor(n/2)+1")
+
+
+def test_low_part_columns_match_their_gcd_closed_forms(seaweed_brute_16, parabolic_brute_24):
+    """The far end of every table from the other diagonals: the two smallest
+    part counts at each sum n >= 2, against both routes' tables."""
+    tables = [seaweed_brute_16, parabolic_brute_24[0], parabolic_brute_24[1],
+              generated_table("seaweed", 16), generated_table("parabolic-even", 30),
+              generated_table("parabolic-odd", 31)]
+    checked = 0
+    for table, n_max in zip(tables, (16, 24, 23, 16, 30, 31)):
+        spec = _kind(table.kind)
+        for n in range(max(2, spec.first_sum), n_max + 1, spec.unit):
+            for p, count in low_part_columns(table.kind, n).items():
+                assert table.count(n, p) == count, (table.kind, table.method, n, p)
+                checked += 1
+    assert checked == 2 * (15 + 12 + 11 + 15 + 15 + 15)
+    print("PASS low-part columns: gcd closed forms equal the census and generation")
 
 
 def test_criterion_4_bijection_round_trip(seaweed_generated_14, parabolic_generated_18):

@@ -87,8 +87,8 @@ class TestBruteTable:
 
     def test_walks_one_cut_free_candidate_per_orbit(self, monkeypatch):
         walks = []
-        real = counting.path_size
-        monkeypatch.setattr(counting, "path_size", lambda *args: walks.append(1) or real(*args))
+        real = counting.orbit_size
+        monkeypatch.setattr(counting, "orbit_size", lambda *args: walks.append(1) or real(*args))
 
         def orbit(a, b):  # under the side swap and reversing both sides
             return frozenset({(a, b), (b, a), (a[::-1], b[::-1]), (b[::-1], a[::-1])})
@@ -147,8 +147,9 @@ def test_mirrored_cut_lemma_is_not_vacuous():
 def test_census_sides_are_the_compositions_with_their_arcs(n):
     """The in-place walk yields, in order, what odd_compositions gives,
     dressed as (partners, cuts, mirrored cuts), with the arcs from a block
-    table for this sum or a larger one; the first bare vertex is the middle
-    of the first odd part, and one more than the cuts is the part count."""
+    table for this sum or a larger one; the bare vertices, the odd parts'
+    middles, are their own partners, and one more than the cuts is the part
+    count."""
     for block in (counting._block_arcs(n), counting._block_arcs(11)):
         for k in range(4):
             comps = odd_compositions(n, k)
@@ -168,9 +169,8 @@ def test_census_sides_are_the_compositions_with_their_arcs(n):
                             and not (skip and has_mirrored_cut(c))]
                     assert got == [want[c] for c in kept], (n, k)
                     for (partners, cuts, _), c in zip(got, kept):
-                        if k:
-                            first = next(i for i, a in enumerate(c) if a % 2)
-                            assert partners.index(-1) == sum(c[:first]) + c[first] // 2, c
+                        middles = [sum(c[:i]) + a // 2 for i, a in enumerate(c) if a % 2]
+                        assert [v for v, w in enumerate(partners) if v == w] == middles, c
                         assert cuts.bit_count() + 1 == len(c), c
             # what the census walk skips is never a Frobenius representative:
             # not one with cuts <= mirrored, or not one path against (n)

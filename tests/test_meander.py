@@ -32,7 +32,7 @@ from seaweeds import (
     theta,
 )
 from seaweeds import meander
-from seaweeds.meander import MeanderGraph, component_counts, partner_array, path_size
+from seaweeds.meander import MeanderGraph, component_counts, orbit_size, partner_array
 
 EXAMPLE = BiComposition.parse("2,3,2|4,3")
 
@@ -84,9 +84,9 @@ def test_layer_degree_bound_exhaustive():
     for n in range(1, 15):
         for comp in iter_compositions(n):
             nbr = partner_array(comp, n)
+            assert len(nbr) == n
             for v, w in enumerate(nbr):
-                if w >= 0:
-                    assert w != v and nbr[w] == v
+                assert 0 <= w < n and nbr[w] == v
 
 
 def test_meander_graph_rejects_bad_arcs():
@@ -159,20 +159,85 @@ def test_partner_array_rejects_a_sum_above_maxsize():
         partner_array((huge,), huge)
 
 
-def test_path_size():
+def _fixed_points(nbr):
+    return [v for v, w in enumerate(nbr) if v == w]
+
+
+def _odd_middles(parts):
+    """The middle position of each odd part, in order."""
+    return [sum(parts[:i]) + a // 2 for i, a in enumerate(parts) if a % 2]
+
+
+def test_partner_array_is_an_involution_fixing_the_odd_middles():
+    """Exhaustively to n = 10: each layer is an involution of range(n), and
+    its fixed points, the bare vertices, are exactly the odd blocks' middles."""
+    for n in range(1, 11):
+        for parts in iter_compositions(n):
+            nbr = partner_array(parts, n)
+            assert sorted(nbr) == list(range(n)), parts
+            assert all(nbr[w] == v for v, w in enumerate(nbr)), parts
+            assert _fixed_points(nbr) == _odd_middles(parts), parts
+
+
+def _components(top, bot):
+    """Each vertex's component, found by a search over both layers."""
+    component = [None] * len(top)
+    for v in range(len(top)):
+        if component[v] is None:
+            members, todo = {v}, [v]
+            while todo:
+                u = todo.pop()
+                for w in (top[u], bot[u]):
+                    if w not in members:
+                        members.add(w)
+                        todo.append(w)
+            for u in members:
+                component[u] = members
+    return component
+
+
+def test_orbit_size_is_a_path_or_half_a_cycle():
+    """For every ordered pair with n <= 8 and every vertex v, the sigma orbit
+    of v has all the vertices of v's component when it is a path and half of
+    them when it is a cycle (every vertex with an arc in both layers); the
+    path and cycle tallies are union-find's."""
+    checked = 0
+    for n in range(1, 9):
+        comps, partners, counts = pair_sweep(n)
+        for (i, top), (j, bot) in itertools.product(enumerate(partners), repeat=2):
+            component = _components(top, bot)
+            cycles = set()
+            for v in range(n):
+                members = component[v]
+                cycle = all(top[u] != u and bot[u] != u for u in members)
+                if cycle:
+                    cycles.add(min(members))
+                size = len(members) // 2 if cycle else len(members)
+                assert orbit_size(top, bot, v) == size, (comps[i], comps[j], v)
+                checked += 1
+            paths = len({min(members) for members in component}) - len(cycles)
+            assert (len(cycles), paths) == counts[i][j], (comps[i], comps[j])
+    assert checked == sum(n * 4 ** (n - 1) for n in range(1, 9))
+
+
+def test_orbit_size():
     n = EXAMPLE.total
     top, bot = partner_array(EXAMPLE.plus.parts, n), partner_array(EXAMPLE.minus.parts, n)
-    assert top.index(-1) == 3 and bot.index(-1) == 5
-    assert path_size(top, bot, 3) == path_size(top, bot, 5) == 7
+    assert _fixed_points(top) == [3] and _fixed_points(bot) == [5]
+    assert [orbit_size(top, bot, v) for v in range(n)] == [7] * 7
     one = partner_array((1,), 1)
-    assert path_size(one, one, 0) == 1
+    assert orbit_size(one, one, 0) == 1
     top = bot = partner_array((1, 1), 2)
-    assert path_size(top, bot, 0) == path_size(top, bot, 1) == 1
+    assert orbit_size(top, bot, 0) == orbit_size(top, bot, 1) == 1
     top, bot = partner_array((1, 2), 3), partner_array((3,), 3)  # 1,2|3 is Frobenius
-    assert path_size(top, bot, 0) == path_size(top, bot, 1) == 3
-    top = bot = partner_array((2,), 2)
-    with pytest.raises(ValueError):
-        path_size(top, bot, 0)
+    assert orbit_size(top, bot, 0) == orbit_size(top, bot, 1) == orbit_size(top, bot, 2) == 3
+    top = bot = partner_array((2,), 2)  # (2|2) is one cycle of 2 vertices, half of it
+    assert orbit_size(top, bot, 0) == orbit_size(top, bot, 1) == 1
+    top = partner_array((2, 2), 4)
+    bot = partner_array((4,), 4)  # one cycle of 4 vertices
+    assert [orbit_size(top, bot, v) for v in range(4)] == [2] * 4
+    bot = partner_array((1, 2, 1), 4)  # one path of 4 vertices
+    assert [orbit_size(top, bot, v) for v in range(4)] == [4] * 4
 
 
 def _odd_parts(parts):
@@ -180,8 +245,8 @@ def _odd_parts(parts):
 
 
 def test_two_odd_parts_prefilter_lemma():
-    """Only two odd parts in total can give one path, and on those the walk
-    from the first odd block's bare middle vertex decides Frobenius."""
+    """Only two odd parts in total can give one path, and the sigma orbit of
+    vertex 0 decides Frobenius on every candidate."""
     cases = []
     for n in range(1, 10):
         comps, partners, counts = pair_sweep(n)
@@ -196,11 +261,10 @@ def test_two_odd_parts_prefilter_lemma():
     walked = 0
     for n, (plus, top, top_odd), (minus, bot, bot_odd), components in cases:
         frobenius = components == (0, 1)
+        assert (orbit_size(top, bot, 0) == n) == frobenius, (plus, minus)
         if top_odd + bot_odd != 2:
             assert not frobenius, (plus, minus)
             continue
-        end = top.index(-1) if top_odd else bot.index(-1)
-        assert (path_size(top, bot, end) == n) == frobenius, (plus, minus)
         walked += 1
     # the census enumerates exactly these candidates
     def count(n, k):
