@@ -30,15 +30,43 @@ from typing import Iterator, Union
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass declares its ``__slots__``, names in ``_fields`` the ones that
-    equality, hashing, ``repr`` and pickling read, in constructor order, and
-    sets each slot once in a written-out ``__init__`` through
-    ``object.__setattr__``.  A value equals only values of its own class;
-    assigning or deleting an attribute raises :class:`AttributeError`.
+    A subclass declares its ``__slots__`` and names in ``_fields`` the ones
+    that equality, hashing, ``repr`` and pickling read, in constructor order.
+    A value equals only values of its own class; assigning or deleting an
+    attribute raises :class:`AttributeError`.
+
+    The records that only store their fields (``WordStats``, ``WSequence``,
+    ``DeltaDecomposition``, ``ComponentCensus``, ``_Kind``, ``PolyFit``,
+    ``VerifyRow``, ``VerifyReport``) take this class's constructor, which
+    binds its arguments like a signature listing ``_fields`` in order, with
+    the defaults in ``_defaults``.  The classes that check or convert their
+    arguments (``Composition``, ``BiComposition``, ``MeanderGraph``, the
+    letters), ``_Word`` (built on every factorization, where the generic
+    binder would cost) and ``CountTable`` (a fresh ``{}`` per table) write
+    their own, setting each slot once through ``object.__setattr__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}  # field -> default value; read, never written
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments at most")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

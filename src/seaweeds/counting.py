@@ -19,16 +19,13 @@ p parts (total parts, for pairs):
   every other node counts twice: the minus letters are the plus letters
   conjugated by the side swap, so the S- half is the mirror image of the
   S+ half, with the same sums and part counts.  The seen-set holds the
-  walked nodes and the seed's children, each as one flat key, plus +
-  minus; below those children each node is checked with its swap's key,
-  minus + plus, as well, though no swap enters the set.  A
-  repeat in either half still raises: a node that is the swap of another
-  walked one is found by the swap check of the later of the two, or, if
-  the other is a child of the seed, is itself one (those children come
-  in swap pairs) and is listed twice.  Every search starts at the kind's
-  seed and reads its sum off the seed's first side.  The tallies read
-  each node's sum and state only; a node also carries its depth and its
-  last letter, from which ``generate`` rebuilds each word in pre-order.
+  walked nodes, each as one flat key, plus + minus, and each node is
+  checked with its swap's key, minus + plus, as well; a repeat in either
+  half still raises (``_search`` gives the argument).  Every search
+  starts at the kind's seed and reads its sum off the seed's first side.
+  The tallies read each node's sum and state only; a node also carries
+  its depth and its last letter, from which ``generate`` rebuilds each
+  word in pre-order.
   ``generate`` streams every node with its word, so it walks all of it;
 * ``diagonal_counts`` counts the deficiency diagonals without
   enumerating them: by the truncation lemma, a node with deficiency
@@ -109,15 +106,11 @@ class _Kind(_Value):
     By the start rule of :func:`~seaweeds.seaweed_words._search` a walk
     yields its seed unless the seed's sum is below ``unit``; only the odd
     seed (1) is, so a walk that yields anything yields ``first_sum`` first.
+    The fields are ``name: str``, ``epsilon: Optional[int]``, ``unit: int``
+    and ``seed: tuple``.
     """
 
     __slots__ = _fields = ("name", "epsilon", "unit", "seed")
-
-    def __init__(self, name: str, epsilon: Optional[int], unit: int, seed: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "seed", seed)
 
     @property
     def moves(self) -> Callable:
@@ -218,7 +211,8 @@ class _Kind(_Value):
         For pairs the search halves by the side swap: it walks the seed and
         the S+ half (see :func:`~seaweeds.seaweed_words._search`), and every
         node but the seed is counted twice; its swap has the same sum and
-        parts.  Compositions have no such half."""
+        parts, and the walk still raises on a repeat in the skipped half.
+        Compositions have no such half."""
         nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
         if self.epsilon is not None:
             return dict(Counter((n, len(a)) for (a,), n, _, _, _ in nodes))
@@ -559,26 +553,13 @@ class PolyFit(_Value):
     ``coefficients`` are exact rationals in the monomial basis, constant
     term first.  ``stable_from`` is the smallest index n in the window
     such that the polynomial equals the raw counts for every n' >= n up
-    to the window's end.
+    to the window's end.  The fields are ``t: int``, ``degree: int``,
+    ``coefficients: tuple[Fraction, ...]``, ``stable_from: int``,
+    ``window: tuple[int, int]`` and ``epsilon: Optional[int] = None``.
     """
 
     __slots__ = _fields = ("t", "degree", "coefficients", "stable_from", "window", "epsilon")
-
-    def __init__(
-        self,
-        t: int,
-        degree: int,
-        coefficients: tuple[Fraction, ...],
-        stable_from: int,
-        window: tuple[int, int],
-        epsilon: Optional[int] = None,
-    ):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "stable_from", stable_from)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "epsilon", epsilon)
+    _defaults = {"epsilon": None}
 
     def evaluate(self, n: int) -> Fraction:
         acc = Fraction(0)
@@ -692,23 +673,17 @@ EXPECTED_COEFFS: dict[tuple[str, int], tuple[int, ...]] = {
 
 
 class VerifyRow(_Value):
-    __slots__ = _fields = ("name", "matched", "details", "fits")
+    """One row of the published-forms report: ``name: str``,
+    ``matched: bool``, ``details: tuple[str, ...]`` and
+    ``fits: tuple[Optional[PolyFit], ...]``."""
 
-    def __init__(
-        self, name: str, matched: bool, details: tuple[str, ...],
-        fits: tuple[Optional[PolyFit], ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "fits", fits)
+    __slots__ = _fields = ("name", "matched", "details", "fits")
 
 
 class VerifyReport(_Value):
-    __slots__ = _fields = ("rows",)
+    """The published-forms report: ``rows: tuple[VerifyRow, ...]``."""
 
-    def __init__(self, rows: tuple[VerifyRow, ...]):
-        object.__setattr__(self, "rows", rows)
+    __slots__ = _fields = ("rows",)
 
     @property
     def all_match(self) -> bool:

@@ -148,13 +148,10 @@ class MeanderGraph(_Value):
 
 
 class ComponentCensus(_Value):
-    """Connected-component tally: cycle components and path components."""
+    """Connected-component tally: ``cycles: int`` cycle components and
+    ``paths: int`` path components."""
 
     __slots__ = _fields = ("cycles", "paths")
-
-    def __init__(self, cycles: int, paths: int):
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "paths", paths)
 
 
 def build_meander(a: BiComposition) -> MeanderGraph:

@@ -198,16 +198,11 @@ _SEED_RAW = ((1,), (1,))
 
 
 class WordStats(_Value):
-    """Letter counts of a word by family and sign."""
+    """Letter counts of a word by family and sign: ``ell: int``, the length,
+    then ``sigma_plus``, ``sigma_minus``, ``tau_plus`` and ``tau_minus``, all
+    ``int``, the numbers of S+, S-, T+ and T- letters."""
 
     __slots__ = _fields = ("ell", "sigma_plus", "sigma_minus", "tau_plus", "tau_minus")
-
-    def __init__(self, ell: int, sigma_plus: int, sigma_minus: int, tau_plus: int, tau_minus: int):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "sigma_plus", sigma_plus)
-        object.__setattr__(self, "sigma_minus", sigma_minus)
-        object.__setattr__(self, "tau_plus", tau_plus)
-        object.__setattr__(self, "tau_minus", tau_minus)
 
     @property
     def sigma(self) -> int:
@@ -219,13 +214,11 @@ class WordStats(_Value):
 
 
 class WSequence(_Value):
-    """Per-letter sum increments of a word, indexed like the written word."""
+    """Per-letter sum increments of a word: ``values: tuple[int, ...]``,
+    indexed like the written word, and ``beta: int``, the number of
+    increments above the family's unit step."""
 
     __slots__ = _fields = ("values", "beta")
-
-    def __init__(self, values: tuple[int, ...], beta: int):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "beta", beta)  # increments above the family's unit step
 
 
 def word_stats(w: SeaweedWord) -> WordStats:
@@ -338,12 +331,10 @@ class DeltaDecomposition(_Value):
     pairs of the form (S+0 or S-0, increment 1).  Even positions hold
     what is left between the runs; the two outermost may be empty, the
     interior ones never are.  Concatenating all blocks restores the word.
+    The one field is ``blocks: tuple[SeaweedWord, ...]``.
     """
 
     __slots__ = _fields = ("blocks",)
-
-    def __init__(self, blocks: tuple[SeaweedWord, ...]):
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def q(self) -> int:
@@ -536,15 +527,16 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     deficiencies, and only the half under the child of each pair that is
     not below its swap is walked (the S+ half).  Every node but ``start``
     then stands for two, so a tally counts it twice.  The seen-set holds
-    the walked nodes and every child of ``start``; swaps are not added to
-    it, but each node below the children of ``start`` is also checked
-    with its swap, keyed minus + plus.  That still finds a repeat anywhere
-    in the full walk.  A node equal to its own swap finds itself.  Let a
-    node X below the children of ``start`` be the swap of another node Y
-    of the walk.  If Y is below them too, the later of X and Y finds the
-    other by its swap check.  If Y is a child of ``start``, X is one too
-    (those children come in swap pairs), so X is listed twice and the
-    plain check raises :class:`CollisionError` at the second listing.
+    exactly the walked nodes; each is also checked with its swap, keyed
+    minus + plus, though no swap enters the set.  That still finds a
+    repeat anywhere in the full walk, since every node the half walk skips
+    is the swap of a walked one: the S- children of ``start`` are the
+    swaps of its S+ children, listed after the whole S+ half, and their
+    subtrees mirror the S+ subtrees.  Two walked nodes that repeat meet at
+    the plain check.  A walked node equal to a skipped one is the swap of
+    a walked node (maybe itself), and the later of the two meets the other
+    at its swap check.  Two skipped nodes that repeat are the swaps of two
+    walked nodes that repeat.
     """
     _check_bounds(n_max, t)
     total = sum(start[0])
@@ -567,6 +559,10 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                 child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                 if child_deficit > t:
                     continue
+            if halve:
+                plus, minus = state
+                if depth == 1 and plus < minus:  # the half: one child of each swap pair
+                    continue
             size = len(seen)
             seen.add(sum(state, ()))
             if len(seen) == size:
@@ -574,16 +570,11 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                     f"{'|'.join(map(str, state))} reached twice; "
                     f"second route ends with letter {l}"
                 )
-            if halve:
-                plus, minus = state
-                if depth > 1:  # each node below the start's children stands for its swap
-                    if minus + plus in seen:
-                        raise CollisionError(
-                            f"{minus}|{plus} reached twice; second route "
-                            f"is the mirror of one ending with letter {l}"
-                        )
-                elif plus < minus:  # the half: one child of each swap pair
-                    continue
+            if halve and minus + plus in seen:  # each walked node stands for its swap
+                raise CollisionError(
+                    f"{minus}|{plus} reached twice; second route "
+                    f"is the mirror of one ending with letter {l}"
+                )
             n = total + inc
             yield state, n, child_deficit, depth, l
             room = n_max - n

@@ -496,6 +496,12 @@ class TestHalfWalk:
         pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((5,), (4, 1)), 1)]}),
                      _TWICE.format("(5,)|(4, 1)", "S+3"),
                      _TWICE.format("(5,)|(4, 1)", "S+3"), id="later-root-sibling"),
+        # the seed's S-0 child, listed after the whole S+ half, which the half
+        # walk skips: the swap check meets the S+0 child it mirrors; planted at
+        # sum 8, a leaf, so the full walk does not replay the S-0 subtree under it
+        pytest.param(_planted({_DEEP: [(letter("S", 1, 7), ((1, 1), (2,)), 4)]}),
+                     _TWICE.format("(1, 1)|(2,)", "S-0"),
+                     _MIRROR.format("(2,)|(1, 1)", "S+7"), id="skipped-root-child"),
     ])
     def test_planted_repeat_raises_from_both_tables(self, monkeypatch, lister, full, half):
         """Each error names the repeated pair, not the seen-set's flat key."""

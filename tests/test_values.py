@@ -49,6 +49,20 @@ FIT = PolyFit(2, 1, (Fraction(20), Fraction(2)), 3, (1, 40))
 ROW = VerifyRow("F_2", True, ("seaweed t=2: fit 2T+20",), (FIT,))
 
 
+# the eight records that take _Value's constructor, each with the fields of
+# one instance in order
+RECORDS = [
+    (WordStats, (3, 1, 1, 1, 0)),
+    (WSequence, ((1, 3), 1)),
+    (DeltaDecomposition, ((WORD,),)),
+    (ComponentCensus, (0, 1)),
+    (_Kind, ("seaweed", None, 1, ((1,), (1,)))),
+    (PolyFit, (2, 1, (Fraction(20), Fraction(2)), 3, (1, 40), 0)),
+    (VerifyRow, ("F_2", True, ("seaweed t=2: fit 2T+20",), (FIT,))),
+    (VerifyReport, ((ROW,),)),
+]
+
+
 def one_of_each():
     """An instance of each value class, two for the abstract letter and word,
     each with the name of one of its fields."""
@@ -194,6 +208,29 @@ class TestConstructors:
     def test_poly_fit_defaults_epsilon_to_none(self):
         assert FIT.epsilon is None
         assert PolyFit(0, 0, (Fraction(2),), 1, (1, 5), 1).epsilon == 1
+
+    def test_poly_fit_built_by_keyword_defaults_epsilon_to_none(self):
+        fit = PolyFit(t=2, degree=1, coefficients=FIT.coefficients, stable_from=3, window=(1, 40))
+        assert fit.epsilon is None and fit == FIT
+
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+    def test_record_built_by_keyword_equals_the_positional_build(self, cls, args):
+        by_keyword = cls(**dict(zip(cls._fields, args)))
+        assert by_keyword == cls(*args) and repr(by_keyword) == repr(cls(*args))
+        first, rest = cls._fields[0], dict(zip(cls._fields[1:], args[1:]))
+        assert cls(args[0], **rest) == cls(*args) == cls(**rest, **{first: args[0]})
+
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+    def test_record_refuses_a_bad_call(self, cls, args):
+        first, rest = cls._fields[0], dict(zip(cls._fields[1:], args[1:]))
+        with pytest.raises(TypeError, match=f"missing .*'{first}'"):
+            cls(**rest)
+        with pytest.raises(TypeError, match="takes"):
+            cls(*args, None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(*args, bogus=None)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(*args, **{first: args[0]})
 
     def test_composition_copies_its_parts_into_a_tuple(self):
         assert Composition([3, 1]).parts == (3, 1)
