@@ -30,6 +30,7 @@ from .counting import (
     KINDS,
     UnstableSequence,
     _Kind,
+    _fit_orders,
     _kind,
     brute_table,
     deficiency_sequence,
@@ -52,6 +53,7 @@ from .parabolic_words import (  # noqa: F401
 from .seaweed_words import (  # noqa: F401
     SEED,
     SeaweedWord,
+    _check_bounds,
     _Memo,
     evaluate,
     factorize,
@@ -191,29 +193,26 @@ def _cmd_generate(args) -> int:
 
 def _cmd_table(args) -> int:
     _checked_kind(args)
-    if args.method == "brute":
-        table = brute_table(args.kind, args.n_max, budget_override=args.budget_override)
-    elif args.method == "generated":
+    if args.method in ("brute", "both"):  # first, so a refused budget counts nothing
+        table = brute = brute_table(args.kind, args.n_max, budget_override=args.budget_override)
+    if args.method in ("generated", "both"):
         table = generated_table(args.kind, args.n_max)
-    elif args.method == "deficiency":
+    if args.method == "deficiency":
         table = deficiency_table(args.kind, args.t, args.n_max)
-    else:  # both
-        brute = brute_table(args.kind, args.n_max, budget_override=args.budget_override)
-        generated = generated_table(args.kind, args.n_max)
-        _emit(generated.to_csv(), args.out)
-        if brute.entries == generated.entries:
-            print("AGREE")
-            return 0
-        print("MISMATCH")
-        return 1
     _emit(table.to_csv(), args.out)
-    return 0
+    if args.method != "both":
+        return 0
+    agree = brute.entries == table.entries
+    print("AGREE" if agree else "MISMATCH")
+    return 0 if agree else 1
 
 
 def _cmd_fit(args) -> int:
     eps = _checked_kind(args).epsilon
-    seq = deficiency_sequence(args.kind, args.t, range(1, args.n_max + 1))
+    _check_bounds(args.n_max, args.t)  # a negative t is bad usage, whatever the window
     try:
+        _fit_orders(args.t, args.n_max)  # a too-short window fails before any count
+        seq = deficiency_sequence(args.kind, args.t, range(1, args.n_max + 1))
         fit = fit_polynomial(seq, args.t, n_start=1, epsilon=eps)
     except UnstableSequence as err:
         print(f"unstable: {err}", file=sys.stderr)

@@ -346,12 +346,9 @@ class CountTable(_Value):
     def total(self, n: int) -> int:
         return sum(c for (m, _), c in self.entries.items() if m == n)
 
-    def rows(self) -> list[tuple[int, int, int]]:
-        return [(n, p, c) for (n, p), c in sorted(self.entries.items())]
-
     def to_csv(self) -> str:
         lines = ["n,p,count"]
-        lines.extend(f"{n},{p},{c}" for n, p, c in self.rows())
+        lines.extend(f"{n},{p},{c}" for (n, p), c in sorted(self.entries.items()))
         return "\n".join(lines) + "\n"
 
     def bound_violations(self) -> list[tuple[int, int, int]]:
@@ -597,6 +594,20 @@ def poly_str(coefficients: Sequence[Fraction]) -> str:
     return "".join(terms)
 
 
+def _fit_orders(t: int, length: int) -> tuple[int, int]:
+    """The difference order d + 1 that a deficiency-t fit takes, d = floor(t/2),
+    and the number of trailing differences it checks; raises
+    :class:`UnstableSequence` when ``length`` values are too few for both.
+    The verdict needs only t and the window's length, not its counts."""
+    order, guard = t // 2 + 1, max(5, t + 2)
+    if length < order + guard:
+        raise UnstableSequence(
+            f"window of {length} values is too short to certify a "
+            f"degree-{order - 1} tail (need {order + guard} values)"
+        )
+    return order, guard
+
+
 def fit_polynomial(
     seq: Sequence[int], t: int, n_start: int = 1, epsilon: Optional[int] = None
 ) -> PolyFit:
@@ -615,15 +626,9 @@ def fit_polynomial(
     j on P, puts the value at j on P, and a nonzero one puts it off P.
     """
     d = t // 2
-    order = d + 1
-    guard = max(5, t + 2)
     values = [int(v) for v in seq]
     # checked before differencing, which would take order passes
-    if len(values) < order + guard:
-        raise UnstableSequence(
-            f"window of {len(values)} values is too short to certify a "
-            f"degree-{d} tail (need {order + guard} values)"
-        )
+    order, guard = _fit_orders(t, len(values))
     x0 = len(values) - order  # heads[k]: the k-th difference at x0
     heads = []
     diffs = values
@@ -712,12 +717,10 @@ def verify_published_polynomials(
     the published ones; a fitting failure is reported as a mismatch,
     never an exception.
     """
-    top: dict[str, int] = {}
-    for kind, t in EXPECTED_COEFFS:
-        top[kind] = max(t, top.get(kind, t))
     sequences: dict[tuple[str, int], list[int]] = {}
-    for kind, t in top.items():
+    for kind in KINDS:
         spec = _kind(kind)
+        t = max(bound for k, bound in EXPECTED_COEFFS if k == kind)  # largest published t
         window = range(1, (seaweed_n_max if spec.epsilon is None else parabolic_n_max) + 1)
         counts = diagonal_counts(kind, t, spec.sum_at(window[-1])) if window else {}
         for d in range(t + 1):

@@ -24,9 +24,13 @@ on the one-part seed.
 :func:`factorize_p` inverts evaluation by stripping letters: comparing
 the first and last parts identifies tilde-ness, and division with
 remainder on (first - last) identifies the family and m.  The inverse
-rule is validated on every step by re-applying the stripped letter;
-a failure would falsify freeness of the word monoid and raises
-:class:`AmbiguousInverse` rather than guessing.
+rule is validated on every step by re-applying the stripped letter.
+For first = last + d the parts it finds always map back: S q-1 on (d)
+and T q on (d - r, r) both give (last + d, last).  So the check guards
+the forward code of :func:`_ends` against the strip's own division, and
+its failure, :class:`AmbiguousInverse`, would be a defect of this
+module, not a counterexample to freeness; freeness is checked by the
+round trips of the tests and by the search's :class:`CollisionError`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ class FirstLastEqual(ValueError):
 
 
 class AmbiguousInverse(RuntimeError):
-    """The stripped letter does not reproduce its input: freeness violated."""
+    """A strip contradicted its own arithmetic (its letter does not map back):
+    a defect of this module, which the division rules out, not a
+    counterexample to freeness."""
 
 
 class ParabolicLetter(_Letter):
@@ -202,7 +208,8 @@ def reduce_once_p(a: Composition) -> tuple[Composition, ParabolicLetter]:
 
     Raises :class:`FirstLastEqual` at the reduction's terminal situation
     and :class:`AmbiguousInverse` if the arithmetic inverse fails to
-    reproduce ``a`` (which would disprove freeness -- report, don't mend).
+    reproduce ``a`` (a defect of this module, not of freeness -- report,
+    don't mend).
     The strip is :func:`factorize_p`'s own step, map-back included, and
     costs O(1); copying the parts in and out costs O(k) for k parts.
     """

@@ -46,7 +46,9 @@ makes the pruned generator :func:`generate_deficiency` exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, ClassVar, Iterator, Optional
 
 from .compositions import NULL, BiComposition, Composition, MaybeBiComposition, _Value
@@ -222,19 +224,8 @@ class WSequence(_Value):
 
 
 def word_stats(w: SeaweedWord) -> WordStats:
-    sp = sm = tp = tm = 0
-    for l in w.letters:
-        if l.family == "S":
-            if l.sign == 1:
-                sp += 1
-            else:
-                sm += 1
-        else:
-            if l.sign == 1:
-                tp += 1
-            else:
-                tm += 1
-    return WordStats(len(w.letters), sp, sm, tp, tm)
+    c = Counter((l.family, l.sign) for l in w.letters)
+    return WordStats(len(w.letters), c["S", 1], c["S", -1], c["T", 1], c["T", -1])
 
 
 def _ends(family: str, m: int, core: tuple) -> tuple[int, int]:
@@ -351,20 +342,15 @@ class DeltaDecomposition(_Value):
 
 def delta_decompose(w: SeaweedWord, a: BiComposition) -> DeltaDecomposition:
     """Group the letter/increment pairs of ``w`` at ``a`` into the blocks above."""
-    seq = w_sequence(w, a)
+    pairs = zip(w.letters, w_sequence(w, a).values)
     blocks: list[SeaweedWord] = []
-    current: list[SeaweedLetter] = []
-    in_z = False
-    for l, inc in zip(w.letters, seq.values):
-        is_z = l.family == "S" and l.m == 0 and inc == 1
-        if is_z != in_z:
-            blocks.append(SeaweedWord(tuple(current)))
-            current = []
-            in_z = is_z
-        current.append(l)
-    blocks.append(SeaweedWord(tuple(current)))
-    if in_z:
-        blocks.append(IOTA)  # decomposition always ends on a w-block
+    for is_z, run in groupby(pairs, lambda pair: pair[0].family == "S"
+                             and pair[0].m == 0 and pair[1] == 1):
+        if is_z and not blocks:
+            blocks.append(IOTA)  # the decomposition starts on a w-block
+        blocks.append(SeaweedWord(tuple(l for l, _ in run)))
+    if len(blocks) % 2 == 0:
+        blocks.append(IOTA)  # and ends on one: the empty word is one empty w-block
     return DeltaDecomposition(tuple(blocks))
 
 

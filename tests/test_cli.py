@@ -11,9 +11,9 @@ import tracemalloc
 
 import pytest
 
-from seaweeds import cli
+from seaweeds import cli, counting
 from seaweeds.cli import main
-from seaweeds.counting import KINDS
+from seaweeds.counting import KINDS, CountTable, generated_table
 from seaweeds.parabolic_words import generate_deficiency_p, generate_frobenius_p
 from seaweeds.seaweed_words import CollisionError, generate_deficiency, generate_frobenius
 
@@ -366,6 +366,23 @@ class TestTable:
         )
         assert code == 2 and "budget" in err
 
+    def test_both_writes_the_generated_csv_and_agrees(self, capsys, tmp_path):
+        target = tmp_path / "t.csv"
+        assert run(capsys, "table", "--kind", "parabolic-odd", "--n-max", "9",
+                   "--method", "both", "--out", str(target)) == (0, "AGREE\n", "")
+        assert target.read_text() == generated_table("parabolic-odd", 9).to_csv()
+
+    def test_both_reports_a_mismatch_with_exit_1(self, capsys, monkeypatch, tmp_path):
+        table = generated_table("seaweed", 6)
+        key = max(table.entries)  # one count changed
+        entries = {**table.entries, key: table.entries[key] + 1}
+        planted = CountTable(table.kind, table.method, entries)
+        monkeypatch.setattr(cli, "generated_table", lambda kind, n_max: planted)
+        target = tmp_path / "t.csv"
+        assert run(capsys, "table", "--kind", "seaweed", "--n-max", "6",
+                   "--method", "both", "--out", str(target)) == (1, "MISMATCH\n", "")
+        assert target.read_text() == planted.to_csv()
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         code, out, _ = run(
@@ -403,6 +420,18 @@ class TestFit:
         assert run(capsys, "fit", "--kind", "seaweed", "--t", str(t), "--n-max", "3") == (
             1, "", f"unstable: window of 3 values is too short to certify a degree-{t // 2} "
                    f"tail (need {3 * (t // 2) + 3} values)\n"
+        )
+
+    @pytest.mark.parametrize("kind, n_max", [("seaweed", 40), ("parabolic-even", 30)])
+    def test_too_short_window_answers_before_counting(self, capsys, monkeypatch, kind, n_max):
+        # the verdict depends only on t and the window's length; counting
+        # these windows at t = 40 takes minutes
+        def refuse(*args):
+            raise AssertionError("a too-short window needs no count")
+        monkeypatch.setattr(counting, "diagonal_counts", refuse)
+        assert run(capsys, "fit", "--kind", kind, "--t", "40", "--n-max", str(n_max)) == (
+            1, "", f"unstable: window of {n_max} values is too short to certify a "
+                   "degree-20 tail (need 63 values)\n"
         )
 
 

@@ -156,6 +156,15 @@ class TestWordStats:
         s = word_stats(IOTA)
         assert (s.ell, s.sigma, s.tau) == (0, 0, 0)
 
+    def test_counts_each_letter_by_family_and_sign(self):
+        for w, _ in generate_frobenius(10):
+            s = word_stats(w)
+            count = {(family, sign): sum(1 for l in w if (l.family, l.sign) == (family, sign))
+                     for family in "ST" for sign in (1, -1)}
+            assert (s.ell, s.sigma_plus, s.sigma_minus, s.tau_plus, s.tau_minus) == (
+                len(w), count["S", 1], count["S", -1], count["T", 1], count["T", -1])
+            assert (s.sigma, s.tau) == (s.sigma_plus + s.sigma_minus, s.tau_plus + s.tau_minus)
+
 
 class TestWSequence:
     def test_examples(self):
@@ -268,6 +277,24 @@ class TestDeltaDecompose:
                 assert all(l.family == "S" and l.m == 0 for l in z)
             for interior in d.w_blocks[1:-1]:
                 assert len(interior) > 0
+
+    def test_z_blocks_are_the_maximal_unit_step_s0_runs(self):
+        for w, _ in generate_frobenius(10):
+            increments = w_sequence(w, SEED).values
+            is_z = [l.family == "S" and l.m == 0 and inc == 1
+                    for l, inc in zip(w.letters, increments)]
+            start = 0
+            for i, block in enumerate(delta_decompose(w, SEED).blocks):
+                end = start + len(block)
+                if i % 2:  # a z-block: a nonempty run of S+-0 letters of increment 1 ...
+                    assert start < end and all(is_z[start:end])
+                    # ... that no such letter extends on either side
+                    assert start == 0 or not is_z[start - 1]
+                    assert end == len(w) or not is_z[end]
+                else:  # a w-block holds none of them
+                    assert not any(is_z[start:end])
+                start = end
+            assert start == len(w)
 
 
 class TestReduceOnce:
