@@ -37,10 +37,13 @@ p parts (total parts, for pairs):
   middle).  The pruned search then collapses to a sum-by-sum count over
   truncated states.  A truncated pair and its side swap are one state:
   the swap mirrors every move and keeps its increment and family, so the
-  two subtrees have the same sums and deficiencies.  One count with bound
-  t gives every diagonal d <= t, and each truncated state lists its
-  children once (``fit`` and ``verify``, through ``deficiency_sequence``;
-  ``verify`` runs one count per kind).
+  two subtrees have the same sums and deficiencies.  The count has two
+  halves: :class:`_Automaton`, the graph of (truncated state,
+  deficiency) nodes, each listing its children once, on its first visit
+  (the budget rule is in ``diagonal_counts``), and the level-by-sum count
+  over it.  One count with bound t gives every diagonal d <= t (``fit``
+  and ``verify``, through ``deficiency_sequence``; ``verify`` runs one
+  count per kind).
 
 Their agreement on the overlap is the central correctness check of this
 package.  Only the search raises :class:`CollisionError` on a repeated
@@ -174,7 +177,8 @@ class _Kind(_Value):
 
     def sequence(self, diagonal: dict[int, int], n_range: range) -> list[int]:
         """One diagonal's counts by sum, read at the indices ``n_range``."""
-        return [diagonal.get(self.sum_at(k), 0) for k in n_range]
+        unit, offset = self.unit, self.epsilon or 0
+        return [diagonal.get(unit * k + offset, 0) for k in n_range]
 
     @property
     def first_sum(self) -> int:
@@ -196,7 +200,9 @@ class _Kind(_Value):
         composition's moves (an S letter reads its first part, not its
         last), so compositions keep their order."""
         if self.epsilon is None:
-            plus, minus = (_readable_side(side, r) for side in state)
+            plus, minus = state
+            plus = _readable_side(plus, r)
+            minus = _readable_side(minus, r)
             return (plus, minus) if plus <= minus else (minus, plus)
         (a,) = state
         front = 1 + _affordable(a[1:], r)  # a[front:back] is the unread middle
@@ -252,10 +258,15 @@ def _affordable(parts: Iterable[int], r: int) -> int:
 def _readable_side(side: tuple, r: int) -> tuple:
     """One side of a pair as a subtree with budget ``r`` reads it: the first
     part capped at r + 2, then the parts while their running sum is <= r."""
-    depth = 1 + _affordable(side[1:], r)
-    if side[0] <= r + 2:
-        return side if depth == len(side) else side[:depth]
-    return (r + 2,) + side[1:depth]
+    cap, depth, size = r + 2, 1, len(side)
+    while depth < size:
+        r -= side[depth]
+        if r < 0:
+            break
+        depth += 1
+    if side[0] <= cap:
+        return side if depth == size else side[:depth]
+    return (cap,) + side[1:depth]
 
 
 def _block_arcs(n_max: int) -> list[list[list[int]]]:
@@ -444,6 +455,50 @@ def deficiency_table(kind: str, t: int, n_max: int) -> CountTable:
     return CountTable(kind, "deficiency", _kind(kind).tally(n_max, t))
 
 
+class _Automaton:
+    """The truncated-state graph of one kind under the deficiency bound t,
+    the first half of :func:`diagonal_counts`.
+
+    ``nodes[id]`` is the (truncated state, deficiency) pair with that
+    small int id; id 0 is the kind's seed at deficiency 0.
+    ``children[id]`` is the node's list of (step, child id), the step
+    being the sum increment in units, or None until :meth:`listing` is
+    asked for it.  A request with no room gives the full budget, so a
+    graph whose every node is listed that way is the window-free one."""
+
+    __slots__ = ("kind", "t", "moves", "nodes", "ids", "children")
+
+    def __init__(self, kind: _Kind, t: int):
+        self.kind, self.t, self.moves = kind, t, kind.moves
+        self.nodes: list[tuple[tuple, int]] = [(kind.seed, 0)]
+        self.ids = {self.nodes[0]: 0}
+        self.children: list[Optional[list[tuple[int, int]]]] = [None]
+
+    def listing(self, node: int, room: Optional[int] = None) -> list[tuple[int, int]]:
+        """The children of ``node``, listed on the first request with the
+        budget min(room, unit*(t - d + 1)) and kept for every later one."""
+        kids = self.children[node]
+        if kids is not None:
+            return kids
+        kind, t, nodes, ids, children = self.kind, self.t, self.nodes, self.ids, self.children
+        unit = kind.unit
+        state, deficit = nodes[node]
+        budget = unit * (t - deficit + 1)
+        kids = children[node] = []
+        for l, child, inc in self.moves(*state, budget if room is None else min(room, budget)):
+            step = inc // unit
+            child_deficit = deficit + step - 1 + (l.family == "T")
+            if child_deficit <= t:
+                key = (kind.truncate(child, t - child_deficit), child_deficit)
+                kid = ids.get(key)
+                if kid is None:
+                    kid = ids[key] = len(nodes)
+                    nodes.append(key)
+                    children.append(None)
+                kids.append((step, kid))
+        return kids
+
+
 def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     """Objects of every deficiency d <= t, by d and then by sum n <= n_max,
     counted without enumerating them; a diagonal with no object is absent.
@@ -480,53 +535,62 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     twice unless they are equal.
 
     Nodes are therefore kept truncated and merged, with multiplicities,
-    per (truncated state, deficiency).  Each level of equal sum is popped
-    in increasing order and pushes its children, with the budgets and
-    deficiency steps of the pruned search, into the level of their sum.
+    per (truncated state, deficiency), in two halves:
+
+    * :class:`_Automaton`, the graph: each (truncated state, deficiency)
+      gets a small int id, and each node's children are listed once, as
+      (step in units, child id), with the budgets and deficiency steps of
+      the pruned search;
+    * the count below, level by sum: the levels are one list indexed by
+      (n - seed sum) / unit, each a dict {node: multiplicity} made on its
+      first push, popped in increasing order; each node adds its
+      multiplicity to its diagonal at n and pushes it to each child whose
+      step still fits the window.
+
     The deficiency never decreases, so every node of deficiency d <= t is
     visited under the bound t, and one count yields every diagonal up to
-    t.  A node's children are listed once, on its first visit, when its
-    budget is the largest it will get; at every later sum the list is
-    reused without the children whose increment no longer fits, which
-    are exactly the moves the smaller budget drops.
+    t.  A node is listed on its first visit, when the room left is the
+    largest it will get, with the budget min(room, unit*(t - d + 1)); at
+    every later sum the list is reused without the children whose step
+    runs past the window, which are exactly the moves the smaller room
+    drops.
 
     The count reads the deficiency only: it equals n + 1 - p for pairs
     and k + 1 - p for compositions of sum 2k + eps.
     """
     _check_bounds(n_max, t)
     spec = _kind(kind)
-    unit, first, start, moves = spec.unit, spec.first_sum, spec.seed, spec.moves
-    total = sum(start[0])
-    # each (truncated state, deficiency) gets a small int id when first seen,
-    # so the levels hash ints, not nested tuples
-    nodes = [(start, 0)]
-    ids = {nodes[0]: 0}
-    children: list[Optional[list[tuple[int, int]]]] = [None]
-    levels: dict[int, dict[int, int]] = {total: {0: 1}}
+    graph = _Automaton(spec, t)
+    unit, first, nodes, children = spec.unit, spec.first_sum, graph.nodes, graph.children
+    total = sum(spec.seed[0])
+    levels: list[Optional[dict[int, int]]] = [None] * ((n_max - total) // unit + 1)
+    if levels:
+        levels[0] = {0: 1}
+    last = len(levels) - 1
     counts: dict[int, dict[int, int]] = {}
-    for n in range(total, n_max + 1, unit):
-        room = n_max - n
-        for node, mult in levels.pop(n, {}).items():
-            state, deficit = nodes[node]
+    for i, level in enumerate(levels):
+        if level is None:
+            continue
+        levels[i] = None  # a popped level is never pushed to again
+        n = total + unit * i
+        left = last - i  # the room, in units
+        for node, mult in level.items():
             if n >= first:
-                diagonal = counts.setdefault(deficit, {})
+                deficit = nodes[node][1]
+                diagonal = counts.get(deficit)
+                if diagonal is None:
+                    diagonal = counts[deficit] = {}
                 diagonal[n] = diagonal.get(n, 0) + mult
             kids = children[node]
             if kids is None:
-                kids = children[node] = []
-                for l, child, inc in moves(*state, min(room, unit * (t - deficit + 1))):
-                    child_deficit = deficit + inc // unit - 1 + (l.family == "T")
-                    if child_deficit <= t:
-                        key = (spec.truncate(child, t - child_deficit), child_deficit)
-                        kid = ids.setdefault(key, len(nodes))
-                        if kid == len(nodes):
-                            nodes.append(key)
-                            children.append(None)
-                        kids.append((inc, kid))
-            for inc, kid in kids:
-                if inc <= room:
-                    level = levels.setdefault(n + inc, {})
-                    level[kid] = level.get(kid, 0) + mult
+                kids = graph.listing(node, n_max - n)
+            for step, kid in kids:
+                if step <= left:
+                    target = levels[i + step]
+                    if target is None:
+                        levels[i + step] = {kid: mult}
+                    else:
+                        target[kid] = target.get(kid, 0) + mult
     return counts
 
 
@@ -596,9 +660,12 @@ def poly_str(coefficients: Sequence[Fraction]) -> str:
 
 def _fit_orders(t: int, length: int) -> tuple[int, int]:
     """The difference order d + 1 that a deficiency-t fit takes, d = floor(t/2),
-    and the number of trailing differences it checks; raises
-    :class:`UnstableSequence` when ``length`` values are too few for both.
-    The verdict needs only t and the window's length, not its counts."""
+    and the number of trailing differences it checks; raises ValueError for
+    a negative t, and :class:`UnstableSequence` when ``length`` values are
+    too few for both.  The verdict needs only t and the window's length,
+    not its counts."""
+    if t < 0:
+        raise ValueError(f"deficiency bound must be >= 0, got {t}")
     order, guard = t // 2 + 1, max(5, t + 2)
     if length < order + guard:
         raise UnstableSequence(
@@ -624,6 +691,7 @@ def fit_polynomial(
     one past the last nonzero order-(d + 1) difference, or ``n_start`` if
     none is nonzero: a zero difference at j, with the d + 1 values after
     j on P, puts the value at j on P, and a nonzero one puts it off P.
+    A negative t raises ValueError before any differencing.
     """
     d = t // 2
     values = [int(v) for v in seq]

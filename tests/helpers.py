@@ -213,6 +213,21 @@ def odd_compositions(n: int, k: int) -> list[tuple[int, ...]]:
     return [c for c in iter_compositions(n) if sum(a % 2 for a in c) == k]
 
 
+def slicing_readable_side(side: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``counting._readable_side`` in its slicing form, the reference for the
+    walk that replaced it: the first part capped at r + 2, then the parts
+    of ``side[1:]`` while their running sum is <= r."""
+    depth, budget = 1, r
+    for part in side[1:]:
+        budget -= part
+        if budget < 0:
+            break
+        depth += 1
+    if side[0] <= r + 2:
+        return side if depth == len(side) else side[:depth]
+    return (r + 2,) + side[1:depth]
+
+
 def diagonal(table, t: int, k_max: int) -> list[int]:
     """The deficiency-t diagonal F(unit*k + eps, k + 1 - t) of a count table,
     at k = 1..k_max."""

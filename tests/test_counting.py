@@ -9,7 +9,10 @@ import pytest
 import seaweeds.counting as counting
 import seaweeds.parabolic_words as pw
 import seaweeds.seaweed_words as sw
-from helpers import make_rng, odd_compositions, pair_sweep, random_composition, reference_fit
+from helpers import (
+    make_rng, odd_compositions, pair_sweep, random_composition, reference_fit,
+    slicing_readable_side,
+)
 from seaweeds import (
     BudgetExceeded,
     CountTable,
@@ -291,6 +294,64 @@ class TestDiagonalCounts:
         # seaweed: (raw + own swaps) / 2 of the 124 and 486 states without the swap merge
         for n_max in (40, 120):
             assert len(_expansions(monkeypatch, kind, t, n_max)[1]) == expansions, (kind, n_max)
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_room_capped_count_equals_a_count_over_the_full_budget_graph(self, kind):
+        # the window-free graph, every node listed at the full budget; a
+        # count over it that pushes only the children fitting the room left
+        # at each sum is what the room-capped listing must give
+        spec = counting._kind(kind)
+        for t in range(7):
+            graph = counting._Automaton(spec, t)
+            node = 0
+            while node < len(graph.nodes):
+                for step, kid in graph.listing(node):
+                    assert 1 <= step <= t - graph.nodes[node][1] + 1, (kind, t, node)
+                node += 1
+            if kind == "seaweed" and t in (4, 6):
+                assert len(graph.nodes) == {4: 64, 6: 246}[t]
+            for n_max in range(1, 41):
+                assert (counting.diagonal_counts(kind, t, n_max)
+                        == _full_budget_count(graph, n_max)), (kind, t, n_max)
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_popped_levels_are_freed(self, kind):
+        # past the returned counts, the count holds only the levels ahead of
+        # the sum it is at: about 0.1 MiB here, and 2.7 MiB more when
+        # every popped level stays in the list
+        spec = counting._kind(kind)
+        tracemalloc.start()
+        try:
+            counts = counting.diagonal_counts(kind, 4, spec.sum_at(2000))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, counts.values())) > 5000, kind
+        assert peak - kept < 2**20, (kept, peak)
+
+    def test_readable_side_walk_equals_the_slicing_form(self):
+        sides = [side for n in range(1, 11) for side in iter_compositions(n)]
+        assert len(sides) == 2**10 - 1
+        for side in sides:
+            for r in range(7):
+                assert counting._readable_side(side, r) == slicing_readable_side(side, r), (side, r)
+
+
+def _full_budget_count(graph, n_max):
+    """Diagonal counts over ``graph``, whose every node is listed, pushing a
+    child only when its increment fits the room left at the parent's sum."""
+    spec = graph.kind
+    total = sum(spec.seed[0])
+    levels = {total: Counter({0: 1})}
+    counts = {}
+    for n in range(total, n_max + 1, spec.unit):
+        for node, mult in levels.pop(n, {}).items():
+            if n >= spec.first_sum:
+                counts.setdefault(graph.nodes[node][1], Counter())[n] += mult
+            for step, kid in graph.children[node]:
+                if n + spec.unit * step <= n_max:
+                    levels.setdefault(n + spec.unit * step, Counter())[kid] += mult
+    return {d: dict(diagonal) for d, diagonal in counts.items()}
 
 
 def _expansions(monkeypatch, kind, t, n_max):
@@ -658,6 +719,14 @@ class TestFitPolynomial:
     def test_unstable_short_window(self):
         with pytest.raises(UnstableSequence):
             fit_polynomial([1, 2, 3], t=0)
+
+    @pytest.mark.parametrize("values", [[0] * 10, [1] * 10])
+    def test_negative_t_is_refused_before_differencing(self, values):
+        # order 0 would take no difference pass: the zeros would read an empty
+        # list of heads, and the ones would look unstable
+        with pytest.raises(ValueError, match=r"^deficiency bound must be >= 0, got -1$") as err:
+            fit_polynomial(values, -1)
+        assert type(err.value) is ValueError
 
     def test_unstable_growth(self):
         with pytest.raises(UnstableSequence):
