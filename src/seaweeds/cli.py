@@ -53,7 +53,6 @@ from .parabolic_words import (  # noqa: F401
 from .seaweed_words import (  # noqa: F401
     SEED,
     SeaweedWord,
-    _check_bounds,
     _Memo,
     evaluate,
     factorize,
@@ -77,6 +76,8 @@ def _checked_kind(args) -> Optional[_Kind]:
         raise ValueError(f"--epsilon {args.epsilon} contradicts kind {kind.name!r}")
     if getattr(args, "method", None) == "deficiency" and args.t is None:
         raise ValueError("--method deficiency needs --t")
+    if getattr(args, "method", None) not in (None, "deficiency") and args.t is not None:
+        raise ValueError("--t applies only to --method deficiency")
     return kind
 
 
@@ -165,7 +166,7 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
     part = _Memo(str).__getitem__  # the text of each int value
     words = [""]
     nodes = pair_nodes(n_max, t) if eps is None else composition_nodes(eps, n_max, t)
-    for state, n, _, depth, letter in nodes:
+    for state, n, depth, letter in nodes:
         if t is None:
             if depth:
                 words[depth:] = (f"{letter.text} {words[depth - 1]}" if depth > 1
@@ -209,7 +210,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_fit(args) -> int:
     eps = _checked_kind(args).epsilon
-    _check_bounds(args.n_max, args.t)  # a negative t is bad usage, whatever the window
     try:
         _fit_orders(args.t, args.n_max)  # a too-short window fails before any count
         seq = deficiency_sequence(args.kind, args.t, range(1, args.n_max + 1))

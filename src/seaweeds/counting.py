@@ -221,8 +221,8 @@ class _Kind(_Value):
         Compositions have no such half."""
         nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
         if self.epsilon is not None:
-            return dict(Counter((n, len(a)) for (a,), n, _, _, _ in nodes))
-        counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _, _ in nodes)
+            return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
+        counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
         own_swap = (self.first_sum, 2)  # the seed (1)|(1)
         return {key: 2 * count - (key == own_swap) for key, count in counts.items()}
 
@@ -463,8 +463,8 @@ class _Automaton:
     small int id; id 0 is the kind's seed at deficiency 0.
     ``children[id]`` is the node's list of (step, child id), the step
     being the sum increment in units, or None until :meth:`listing` is
-    asked for it.  A request with no room gives the full budget, so a
-    graph whose every node is listed that way is the window-free one."""
+    asked for it.  No node's budget exceeds unit*(t + 1), so a graph whose
+    every node is listed with that room is the window-free one."""
 
     __slots__ = ("kind", "t", "moves", "nodes", "ids", "children")
 
@@ -474,7 +474,7 @@ class _Automaton:
         self.ids = {self.nodes[0]: 0}
         self.children: list[Optional[list[tuple[int, int]]]] = [None]
 
-    def listing(self, node: int, room: Optional[int] = None) -> list[tuple[int, int]]:
+    def listing(self, node: int, room: int) -> list[tuple[int, int]]:
         """The children of ``node``, listed on the first request with the
         budget min(room, unit*(t - d + 1)) and kept for every later one."""
         kids = self.children[node]
@@ -485,7 +485,7 @@ class _Automaton:
         state, deficit = nodes[node]
         budget = unit * (t - deficit + 1)
         kids = children[node] = []
-        for l, child, inc in self.moves(*state, budget if room is None else min(room, budget)):
+        for l, child, inc in self.moves(*state, min(room, budget)):
             step = inc // unit
             child_deficit = deficit + step - 1 + (l.family == "T")
             if child_deficit <= t:

@@ -288,12 +288,12 @@ def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iter
     """Raw search nodes of the Frobenius compositions of parity ``epsilon``
     with sum <= n_max (and deficiency <= t when given).
 
-    Nodes come as ``_search`` yields them, ``((a,), n, deficiency, depth,
-    letter)`` in pre-order; the seen-set keys a state ``(a,)`` by ``a``
-    itself.  Every increment is even, so the search's unit is 2, and by its
-    start rule a seed is emitted unless its sum is below 2: the even seed
-    (1,1) is emitted at depth 0, the odd seed (1) is not, and its children
-    come first, at depth 1.
+    Nodes come as ``_search`` yields them, ``((a,), n, depth, letter)`` in
+    pre-order; the seen-set keys a state ``(a,)`` by ``a`` itself.  Every
+    increment is even, so the search's unit is 2, and by its start rule a
+    seed is emitted unless its sum is below 2: the even seed (1,1) is
+    emitted at depth 0, the odd seed (1) is not, and its children come
+    first, at depth 1.
     """
     return _search((seed(epsilon).parts,), _child_moves_p, n_max, t, unit=2)
 
@@ -310,7 +310,7 @@ def generate_frobenius_p(
     :class:`CollisionError`.
     """
     words = [()]  # words[d]: the latest word of d letters, as in pre-order
-    for (a,), _, _, depth, l in composition_nodes(epsilon, n_max):
+    for (a,), _, depth, l in composition_nodes(epsilon, n_max):
         if depth:
             words[depth:] = ((l,) + words[depth - 1],)
         yield ParabolicWord(words[depth]), Composition(a)
@@ -326,5 +326,5 @@ def generate_deficiency_p(
     Pruned on the running deficiency tau(w) + sum(increment/2 - 1), which
     equals k + 1 - p of the current composition and never decreases.
     """
-    for (a,), n, _, _, _ in composition_nodes(epsilon, n_max, t):
+    for (a,), n, _, _ in composition_nodes(epsilon, n_max, t):
         yield n, len(a), Composition(a)

@@ -485,9 +485,12 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     deficiency, whose step per letter is ``increment // unit - 1``, plus 1
     for a T letter.  The deficiency never decreases, so a node at
     deficiency d can only take increments up to ``unit * (t - d + 1)``,
-    and the budget handed to ``moves`` is capped there.
+    and the budget handed to ``moves`` is capped there.  Each open listing
+    keeps its node's deficiency beside it on the stack, accumulated along
+    the path; a node does not carry it, and a walk without ``t`` keeps
+    none.
 
-    Yields nodes ``(state, total, deficiency, depth, letter)``: ``letter``
+    Yields nodes ``(state, total, depth, letter)``: ``letter``
     is the last-applied letter of the word reaching ``state`` from
     ``start``, and ``depth`` that word's length; ``start`` itself comes as
     depth 0 and letter None.  The nodes come in pre-order, so a node's word
@@ -529,19 +532,18 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     if total > n_max:
         return
     if total >= unit:
-        yield start, total, 0, 0, None
+        yield start, total, 0, None
     room = n_max - total
     if room < unit:
         return
     seen = {sum(start, ())}
     stack = [(moves(*start, room if t is None else min(room, unit * (t + 1))), total, 0)]
+    child_deficit = None  # a walk without t never sets it
     while stack:
         listing, total, deficit = stack[-1]
         depth = len(stack)  # of the children this listing gives
         for l, state, inc in listing:
-            if t is None:
-                child_deficit = 0
-            else:
+            if t is not None:
                 child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                 if child_deficit > t:
                     continue
@@ -562,7 +564,7 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                     f"is the mirror of one ending with letter {l}"
                 )
             n = total + inc
-            yield state, n, child_deficit, depth, l
+            yield state, n, depth, l
             room = n_max - n
             if room >= unit:
                 budget = room if t is None else min(room, unit * (t - child_deficit + 1))
@@ -575,8 +577,8 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
 def pair_nodes(n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
     """Raw search nodes of the Frobenius pairs with sum <= n_max (and
     deficiency <= t when given), as :func:`_search` yields them:
-    ``((plus, minus), n, deficiency, depth, letter)``, in pre-order, with
-    the seed first at depth 0."""
+    ``((plus, minus), n, depth, letter)``, in pre-order, with the seed
+    first at depth 0."""
     return _search(_SEED_RAW, _child_moves, n_max, t)
 
 
@@ -588,7 +590,7 @@ def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]
     order; reaching any pair twice raises :class:`CollisionError`.
     """
     words = [()]  # words[d]: the latest word of d letters, as in pre-order
-    for (plus, minus), _, _, depth, l in pair_nodes(n_max):
+    for (plus, minus), _, depth, l in pair_nodes(n_max):
         if depth:
             words[depth:] = ((l,) + words[depth - 1],)
         yield SeaweedWord(words[depth]), BiComposition(Composition(plus), Composition(minus))
@@ -603,5 +605,5 @@ def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiCompos
     emitted, annotated as (n, p, pair), and the stream is exactly the
     deficiency <= t slice of the full generator's output.
     """
-    for (plus, minus), n, _, _, _ in pair_nodes(n_max, t):
+    for (plus, minus), n, _, _ in pair_nodes(n_max, t):
         yield n, len(plus) + len(minus), BiComposition(Composition(plus), Composition(minus))

@@ -444,6 +444,20 @@ class TestVerify:
         assert out.count("match") >= 9
         assert "all cases match" in out
 
+    def test_short_windows_report_the_failed_fits(self, capsys):
+        # every published case but P_{e,0}'s odd half fails to fit windows
+        # of 6 values, by an unsettled tail or by a window too short to certify
+        code, out, err = run(
+            capsys, "verify", "--seaweed-n-max", "6", "--parabolic-n-max", "6"
+        )
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[-1] == "SOME CASES FAILED"
+        assert ("  seaweed t=0: no stable fit (order-1 differences still nonzero "
+                "on the last 5 entries)") in lines
+        assert ("  seaweed t=2: no stable fit (window of 6 values is too short to "
+                "certify a degree-1 tail (need 7 values))") in lines
+
 
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
@@ -512,6 +526,9 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
      "error: --epsilon 0 contradicts kind 'parabolic-odd'\n"),
     ("table --kind seaweed --n-max 6 --method deficiency", 2, EMPTY,
      "error: --method deficiency needs --t\n"),
+    *[(f"table --kind seaweed --method {method} --t 3 --n-max 4", 2, EMPTY,
+       "error: --t applies only to --method deficiency\n")
+      for method in ("generated", "brute", "both")],
 ])
 def test_per_kind_output_pinned(capsys, argv, code, digest, err):
     got_code, out, got_err = run(capsys, *argv.split())

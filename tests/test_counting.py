@@ -305,7 +305,7 @@ class TestDiagonalCounts:
             graph = counting._Automaton(spec, t)
             node = 0
             while node < len(graph.nodes):
-                for step, kid in graph.listing(node):
+                for step, kid in graph.listing(node, spec.unit * (t + 1)):
                     assert 1 <= step <= t - graph.nodes[node][1] + 1, (kind, t, node)
                 node += 1
             if kind == "seaweed" and t in (4, 6):
@@ -391,10 +391,13 @@ def _lemma_draws():
 
 def _subtree_tally(spec, state, r, window):
     """(sum increment, deficiency) of every node of the search from ``state``
-    pruned to deficiency r, within ``window`` above the state's sum."""
-    total = sum(state[0])
-    return Counter((n - total, d)
-                   for _, n, d, _, _ in sw._search(state, spec.moves, total + window, r, spec.unit))
+    pruned to deficiency r, within ``window`` above the state's sum.  A
+    letter's deficiency step is its increment in units less the parts it
+    adds, so a node's deficiency above ``state`` is read off its sum and
+    parts."""
+    total, parts = sum(state[0]), sum(map(len, state))
+    return Counter((n - total, (n - total) // spec.unit - sum(map(len, node)) + parts)
+                   for node, n, _, _ in sw._search(state, spec.moves, total + window, r, spec.unit))
 
 
 class TestTruncationLemma:
@@ -491,7 +494,7 @@ class TestSwapMerge:
 def _full_tally(n_max, t=None):
     """The seaweed tally of the full walk, both mirror halves, as ``generate`` walks it."""
     nodes = pair_nodes(n_max, t)
-    return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _, _ in nodes))
+    return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes))
 
 
 def _planted(plants):
@@ -669,12 +672,26 @@ class TestKindRows:
                 continue
             if kind == "parabolic-odd":  # the seed's children come first
                 l, child, inc = next(spec.moves(*spec.seed, n_max - seed_sum))
-                assert nodes[0] == (child, seed_sum + inc, 0, 1, l), n_max
-                assert all(depth for _, _, _, depth, _ in nodes), n_max
+                assert nodes[0] == (child, seed_sum + inc, 1, l), n_max
+                assert all(depth for _, _, depth, _ in nodes), n_max
             else:
-                assert nodes[0] == (spec.seed, seed_sum, 0, 0, None), (kind, n_max)
-            assert min(n for _, n, _, _, _ in nodes) == spec.first_sum, (kind, n_max)
+                assert nodes[0] == (spec.seed, seed_sum, 0, None), (kind, n_max)
+            assert min(n for _, n, _, _ in nodes) == spec.first_sum, (kind, n_max)
             assert min(n for n, _ in tallied) == spec.first_sum, (kind, n_max)
+
+
+class TestVerifyReport:
+    def test_unstable_fit_is_a_mismatch_with_no_fit(self):
+        report = counting.verify_published_polynomials(6, 6)
+        assert not report.all_match
+        row = {row.name: row for row in report.rows}["P_{e,0}"]
+        assert not row.matched
+        unstable, fit = row.fits
+        assert unstable is None
+        assert (fit.epsilon, fit.coefficients) == (1, (Fraction(2),))
+        assert row.details[0] == ("parabolic-even t=0: no stable fit (order-1 "
+                                  "differences still nonzero on the last 5 entries)")
+        assert report.render().endswith("SOME CASES FAILED\n")
 
 
 class TestFitPolynomial:

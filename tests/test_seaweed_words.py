@@ -180,6 +180,11 @@ class TestWSequence:
         with pytest.raises(NullEncountered):
             w_sequence(SeaweedWord.parse("T+0"), SEED)
 
+    def test_null_base_raises(self):
+        with pytest.raises(NullEncountered) as caught:
+            w_sequence(IOTA, NULL)
+        assert str(caught.value) == "base pair is the null element"
+
     @pytest.mark.parametrize("text, culprit", [
         ("T+0", "T+0"),          # the first-applied letter
         ("S+0 T-5 S-0", "T-5"),  # S-0 leaves one minus part, so T-5 makes null
@@ -421,7 +426,7 @@ class TestGenerateDeficiency:
             assert p >= n + 1 - 2
 
     def test_chain_deeper_than_the_recursion_limit(self):
-        depths = [depth for _, _, _, depth, _ in pair_nodes(3000, 0)]
+        depths = [depth for _, _, depth, _ in pair_nodes(3000, 0)]
         assert len(depths) == 2 * 3000 - 1
         assert max(depths) == 2999
 
