@@ -243,16 +243,22 @@ def iter_compositions(n: int) -> Iterator[tuple[int, ...]]:
 
     Raw tuples, not :class:`Composition` objects: this is the full
     enumerator behind the tests' exhaustive reference sweeps, which keep
-    their own representations lean.  Order is lexicographic by first part.
+    their own representations lean.  Order is lexicographic: from n ones,
+    each next composition drops the last part k, adds 1 to the part
+    before it and appends k - 1 ones, until one part is left.  The walk
+    holds one list of at most n parts and does not recurse, so a large n
+    meets no recursion limit.
     """
     if n < 1:
         raise ValueError(f"compositions exist only for n >= 1, got {n}")
 
-    def rec(rest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            yield prefix
-            return
-        for first in range(1, rest + 1):
-            yield from rec(rest - first, prefix + (first,))
+    def walk() -> Iterator[tuple[int, ...]]:
+        parts = [1] * n
+        yield tuple(parts)
+        while len(parts) > 1:
+            last = parts.pop()
+            parts[-1] += 1
+            parts += [1] * (last - 1)
+            yield tuple(parts)
 
-    return rec(n, ())
+    return walk()

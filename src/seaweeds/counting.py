@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import parabolic_words, seaweed_words
 from .compositions import _Value
@@ -187,12 +187,12 @@ class _Kind(_Value):
 
     def truncate(self, state: tuple, r: int) -> tuple:
         """The parts of ``state`` a subtree with deficiency budget ``r`` can
-        still read (see :func:`diagonal_counts` for the lemma): the first
-        part capped at r + 2, and after it the parts of a side while their
-        running sum stays <= r.  A composition is read from both ends (a
-        tilde letter brings its last part to second place), and one wall
-        part r + 1, which neither end can read across, stands for a
-        dropped middle.
+        still read (see :func:`diagonal_counts` for the lemma): each side,
+        and a composition's front, as :func:`_readable_side` reads it.
+        Only two things are a composition's own: the running sum also
+        walks in from its back (a tilde letter brings its last part to
+        second place), and one wall part r + 1, which neither walk can read
+        across, stands for a dropped middle.
 
         A pair comes back with its sides in a canonical order, so a pair and
         its side swap are one state of :func:`diagonal_counts` (its swap
@@ -205,11 +205,11 @@ class _Kind(_Value):
             minus = _readable_side(minus, r)
             return (plus, minus) if plus <= minus else (minus, plus)
         (a,) = state
-        front = 1 + _affordable(a[1:], r)  # a[front:back] is the unread middle
-        back = len(a) - _affordable(a[:0:-1], r)
-        if front >= back:
-            return state if a[0] <= r + 2 else ((r + 2,) + a[1:],)
-        return ((min(a[0], r + 2),) + a[1:front] + (r + 1,) + a[back:],)
+        head = _readable_side(a, r)
+        back = len(a) - _readable_depth(a[:0:-1], r, 0)  # a[len(head):back] is unread
+        if len(head) >= back:
+            return (head[:1] + a[1:],)
+        return (head + (r + 1,) + a[back:],)
 
     def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
         """Raw search nodes by (sum, parts); no objects are built.
@@ -242,31 +242,27 @@ def _kind(name: str) -> _Kind:
     raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
 
 
-def _affordable(parts: Iterable[int], r: int) -> int:
-    """How many of ``parts``, in order, keep their running sum <= ``r``: T
-    letters on one side read its parts after the first one by one, each at a
-    deficiency cost of at least the part it reads."""
-    count = 0
-    for part in parts:
-        r -= part
-        if r < 0:
-            break
-        count += 1
-    return count
-
-
-def _readable_side(side: tuple, r: int) -> tuple:
-    """One side of a pair as a subtree with budget ``r`` reads it: the first
-    part capped at r + 2, then the parts while their running sum is <= r."""
-    cap, depth, size = r + 2, 1, len(side)
+def _readable_depth(parts: tuple, r: int, depth: int) -> int:
+    """The index past the parts of ``parts`` from ``depth`` on whose running
+    sum stays <= ``r``: T letters on one side read its parts after the first
+    one by one, each at a deficiency cost of at least the part it reads."""
+    size = len(parts)
     while depth < size:
-        r -= side[depth]
+        r -= parts[depth]
         if r < 0:
             break
         depth += 1
-    if side[0] <= cap:
-        return side if depth == size else side[:depth]
-    return (cap,) + side[1:depth]
+    return depth
+
+
+def _readable_side(side: tuple, r: int) -> tuple:
+    """One side of a pair, or a composition's front, as a subtree with budget
+    ``r`` reads it: the first part capped at r + 2, then the parts while
+    their running sum is <= r."""
+    depth = _readable_depth(side, r, 1)
+    if side[0] <= r + 2:
+        return side if depth == len(side) else side[:depth]
+    return (r + 2,) + side[1:depth]
 
 
 def _block_arcs(n_max: int) -> list[list[list[int]]]:
@@ -518,10 +514,11 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
       consumed every part in front of it, at a cost of at least
       a2 + ... + aj.  Letters on the other side only push parts deeper.
       So parts are kept while their running sum from a2 stays <= r.
-    * Compositions: a tilde letter brings the last part to depth 2, so
-      the same running-sum rule applies from the back
-      (ak + ak-1 + ... <= r).  One wall part of value r + 1 replaces a
-      dropped middle, so that neither end can read across it.
+    * Compositions: the front is read by the two rules above, as a pair
+      side is.  Only two things are their own: a tilde letter brings the
+      last part to depth 2, so the same running sum also walks in from
+      the back (ak + ak-1 + ... <= r), and one wall part of value r + 1
+      replaces a dropped middle, so that neither walk can read across it.
     * The budget only shrinks: r never grows along a path, so a dropped
       part never becomes readable again, and a wall stays unreadable.
 

@@ -228,6 +228,28 @@ def slicing_readable_side(side: tuple[int, ...], r: int) -> tuple[int, ...]:
     return (r + 2,) + side[1:depth]
 
 
+def slicing_truncated_composition(a: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``_Kind.truncate`` on a composition in its slicing form, the reference
+    for the walk that reads the front as a pair side: the parts of ``a[1:]``
+    and, reversed, of ``a[:0:-1]`` each counted while their running sum is
+    <= r; where the two counts meet only the first part is capped at r + 2,
+    and otherwise the unread middle becomes one wall part r + 1."""
+    def affordable(parts: tuple[int, ...]) -> int:
+        budget, count = r, 0
+        for part in parts:
+            budget -= part
+            if budget < 0:
+                break
+            count += 1
+        return count
+
+    front = 1 + affordable(a[1:])
+    back = len(a) - affordable(a[:0:-1])
+    if front >= back:
+        return a if a[0] <= r + 2 else (r + 2,) + a[1:]
+    return (min(a[0], r + 2),) + a[1:front] + (r + 1,) + a[back:]
+
+
 def diagonal(table, t: int, k_max: int) -> list[int]:
     """The deficiency-t diagonal F(unit*k + eps, k + 1 - t) of a count table,
     at k = 1..k_max."""

@@ -137,6 +137,12 @@ def test_iter_compositions_complete(n):
     assert len(comps) == 2 ** (n - 1)
     assert len(set(comps)) == len(comps)
     assert all(sum(c) == n and min(c) >= 1 for c in comps)
+    # lexicographic, the order odd_compositions and the census sides rely on
+    assert comps == sorted(comps)
+
+
+def test_iter_compositions_deeper_than_the_recursion_limit():
+    assert next(iter_compositions(5000)) == (1,) * 5000
 
 
 def test_iter_compositions_rejects_zero():

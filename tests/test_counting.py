@@ -11,7 +11,7 @@ import seaweeds.parabolic_words as pw
 import seaweeds.seaweed_words as sw
 from helpers import (
     make_rng, odd_compositions, pair_sweep, random_composition, reference_fit,
-    slicing_readable_side,
+    slicing_readable_side, slicing_truncated_composition,
 )
 from seaweeds import (
     BudgetExceeded,
@@ -437,6 +437,18 @@ class TestTruncationLemma:
         assert spec.truncate(((3, 1, 9, 8, 2, 1),), 3) == ((3, 1, 4, 2, 1),)
         assert spec.truncate(((9, 1, 1, 1),), 3) == ((5, 1, 1, 1),)
         assert spec.truncate(((2, 9),), 0) == ((2, 1),)
+        # r = 3: the front reads 1 + 2 and the back 1 + 2, so the two walks
+        # meet, no wall stands, and only the first part is capped
+        assert spec.truncate(((5, 1, 2, 1),), 3) == ((5, 1, 2, 1),)
+        assert spec.truncate(((9, 1, 2, 1),), 3) == ((5, 1, 2, 1),)
+
+    def test_composition_walks_equal_the_slicing_form(self):
+        spec = counting._kind("parabolic-even")
+        compositions = [a for n in range(1, 15) for a in iter_compositions(n)]
+        assert len(compositions) == 2**14 - 1
+        for a in compositions:
+            for r in range(10):
+                assert spec.truncate((a,), r) == (slicing_truncated_composition(a, r),), (a, r)
 
 
 class TestSwapMerge:
