@@ -35,15 +35,18 @@ class _Value:
     A value equals only values of its own class; assigning or deleting an
     attribute raises :class:`AttributeError`.
 
-    The records that only store their fields (``WordStats``, ``WSequence``,
+    This class's constructor binds its arguments like a signature listing
+    ``_fields`` in order, with the defaults in ``_defaults``.  The records
+    that only store their fields (``WordStats``, ``WSequence``,
     ``DeltaDecomposition``, ``ComponentCensus``, ``_Kind``, ``PolyFit``,
-    ``VerifyRow``, ``VerifyReport``) take this class's constructor, which
-    binds its arguments like a signature listing ``_fields`` in order, with
-    the defaults in ``_defaults``.  The classes that check or convert their
-    arguments (``Composition``, ``BiComposition``, ``MeanderGraph``, the
-    letters), ``_Word`` (built on every factorization, where the generic
-    binder would cost) and ``CountTable`` (a fresh ``{}`` per table) write
-    their own, setting each slot once through ``object.__setattr__``.
+    ``VerifyRow``, ``VerifyReport``) take it as it is; ``MeanderGraph``
+    checks its arcs first, and ``CountTable`` makes a fresh ``{}`` per
+    table first, then each calls it.  The rest write their own stores,
+    setting each slot once through ``object.__setattr__``:
+    ``Composition`` and ``BiComposition``, which check their arguments and
+    are built on every index query, where the generic binder about doubles
+    the time of a construction; the letters, which also store ``text``, a
+    slot outside ``_fields``; and ``_Word``, built on every factorization.
     """
 
     __slots__ = ()

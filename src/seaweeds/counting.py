@@ -177,13 +177,13 @@ class _Kind(_Value):
 
     def sequence(self, diagonal: dict[int, int], n_range: range) -> list[int]:
         """One diagonal's counts by sum, read at the indices ``n_range``."""
-        unit, offset = self.unit, self.epsilon or 0
+        unit, offset = self.unit, self.offset
         return [diagonal.get(unit * k + offset, 0) for k in n_range]
 
     @property
     def first_sum(self) -> int:
         """The smallest sum counted: 1, 2 and 3; the odd seed (1) is not counted."""
-        return self.unit + self.offset
+        return self.sum_at(1)
 
     def truncate(self, state: tuple, r: int) -> tuple:
         """The parts of ``state`` a subtree with deficiency budget ``r`` can
@@ -261,7 +261,7 @@ def _readable_side(side: tuple, r: int) -> tuple:
     their running sum is <= r."""
     depth = _readable_depth(side, r, 1)
     if side[0] <= r + 2:
-        return side if depth == len(side) else side[:depth]
+        return side[:depth]
     return (r + 2,) + side[1:depth]
 
 
@@ -343,9 +343,7 @@ class CountTable(_Value):
     __slots__ = _fields = ("kind", "method", "entries")
 
     def __init__(self, kind: str, method: str, entries: Optional[dict] = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "entries", {} if entries is None else entries)
+        super().__init__(kind, method, {} if entries is None else entries)
 
     def count(self, n: int, p: int) -> int:
         return self.entries.get((n, p), 0)
@@ -422,6 +420,7 @@ def brute_table(kind: str, n_max: int, budget_override: bool = False) -> CountTa
     overridden, the parabolic kinds at 24.
     """
     spec = _kind(kind)
+    _check_bounds(n_max, None)
     budget = SEAWEED_BRUTE_BUDGET if spec.epsilon is None else PARABOLIC_BRUTE_BUDGET
     if n_max > budget and not budget_override:
         raise BudgetExceeded(
@@ -458,9 +457,9 @@ class _Automaton:
     ``nodes[id]`` is the (truncated state, deficiency) pair with that
     small int id; id 0 is the kind's seed at deficiency 0.
     ``children[id]`` is the node's list of (step, child id), the step
-    being the sum increment in units, or None until :meth:`listing` is
-    asked for it.  No node's budget exceeds unit*(t + 1), so a graph whose
-    every node is listed with that room is the window-free one."""
+    being the sum increment in units, or None until :meth:`listing` lists
+    it.  No node's budget exceeds unit*(t + 1), so a graph whose every
+    node is listed with that room is the window-free one."""
 
     __slots__ = ("kind", "t", "moves", "nodes", "ids", "children")
 
@@ -471,11 +470,10 @@ class _Automaton:
         self.children: list[Optional[list[tuple[int, int]]]] = [None]
 
     def listing(self, node: int, room: int) -> list[tuple[int, int]]:
-        """The children of ``node``, listed on the first request with the
-        budget min(room, unit*(t - d + 1)) and kept for every later one."""
-        kids = self.children[node]
-        if kids is not None:
-            return kids
+        """The children of ``node``, listed with the budget
+        min(room, unit*(t - d + 1)) and kept in ``children[node]``.  A caller
+        lists each node once, while ``children[node]`` is None, and reads
+        the kept list after that."""
         kind, t, nodes, ids, children = self.kind, self.t, self.nodes, self.ids, self.children
         unit = kind.unit
         state, deficit = nodes[node]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
+from typing import Sequence
 
 from .compositions import BiComposition, Composition, _Value
 
@@ -78,7 +79,7 @@ def partner_array(parts, n: int) -> tuple[int, ...]:
     return tuple(nbr)
 
 
-def component_counts(top: tuple[int, ...], bot: tuple[int, ...]) -> tuple[int, int]:
+def component_counts(top: Sequence[int], bot: Sequence[int]) -> tuple[int, int]:
     """(cycles, paths) of the meander graph given by two partner arrays.
 
     One pass of union-find over the arcs, with path halving.  Every vertex
@@ -108,7 +109,7 @@ def component_counts(top: tuple[int, ...], bot: tuple[int, ...]) -> tuple[int, i
     return cycles, n - joins - cycles
 
 
-def orbit_size(top: tuple[int, ...], bot: tuple[int, ...], v: int) -> int:
+def orbit_size(top: Sequence[int], bot: Sequence[int], v: int) -> int:
     """Length of the orbit of vertex ``v`` under sigma = tau- . tau+.
 
     That is the number of vertices of ``v``'s component when it is a
@@ -142,9 +143,7 @@ class MeanderGraph(_Value):
                 if u in touched or v in touched:
                     raise ValueError(f"vertex reused within one layer by arc {(u, v)}")
                 touched.update((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "top_arcs", top_arcs)
-        object.__setattr__(self, "bottom_arcs", bottom_arcs)
+        super().__init__(n, top_arcs, bottom_arcs)
 
 
 class ComponentCensus(_Value):
@@ -173,7 +172,7 @@ def census(g: MeanderGraph) -> ComponentCensus:
         for u, v in arcs:
             arr[u - 1] = v - 1
             arr[v - 1] = u - 1
-    cycles, paths = component_counts(tuple(top), tuple(bot))
+    cycles, paths = component_counts(top, bot)
     return ComponentCensus(cycles=cycles, paths=paths)
 
 
@@ -184,11 +183,10 @@ def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int
     docstring), where tau+ and tau- are the partner arrays of ``plus`` and
     ``minus``; each fixes its bare vertices, so a step is
     ``v = bot[top[v]]`` with no branch.  Each orbit is walked once from its
-    smallest vertex, marking the vertices it meets in a ``bytearray``; the
-    next orbit starts at the next vertex, or, when that is marked already,
-    at the first unmarked one that ``bytearray.find`` gives.  That is O(n)
-    steps and n bytes beyond the two partner arrays; sigma itself is never
-    built.
+    smallest vertex, marking the vertices it meets in a ``bytearray``; each
+    orbit starts at the first unmarked vertex, which ``bytearray.find``
+    gives, searching on from the last start.  That is O(n) steps and n
+    bytes beyond the two partner arrays; sigma itself is never built.
 
     Two blocks a side have a closed form: index(a, b | c, d) =
     gcd(a - c, n) - 1.  A block at positions lo..hi-1 maps i to
@@ -204,7 +202,7 @@ def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int
     bot = partner_array(minus, n)
     seen = bytearray(n)
     orbits = 0
-    start = 0 if n else -1
+    start = seen.find(0)
     while start >= 0:
         orbits += 1
         v = start
@@ -213,11 +211,7 @@ def index_of_parts(plus: tuple[int, ...], minus: tuple[int, ...], n: int) -> int
             v = bot[top[v]]
             if v == start:
                 break
-        start += 1
-        if start == n:
-            break
-        if seen[start]:
-            start = seen.find(0, start)
+        start = seen.find(0, start)
     return orbits - 1
 
 

@@ -258,7 +258,8 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
     budget below both lists nothing and slices nothing.  Otherwise the
     middle each family keeps, and its reversal for the tilde letters, are
     sliced once per call; the new first part is the new last part plus the
-    parts the letter consumed.
+    parts the letter consumed.  The T ranges are empty on their own when
+    half the budget is below a2: the floor division then gives at most -1.
     """
     a1 = a[0]
     half = budget // 2
@@ -275,7 +276,7 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
     if len(a) > 1:
         a2 = a[1]
         middle, reverse = a[2:], a[:1:-1]
-        top = (half - a2) // (a1 + a2) + 1 if half >= a2 else 0
+        top = (half - a2) // (a1 + a2) + 1
         for m in range(top):
             last = m * a1 + (m + 1) * a2
             yield _T(m), ((last + a1 + a2,) + middle + (last,),), 2 * last

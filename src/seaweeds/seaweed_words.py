@@ -426,7 +426,9 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, in
     The smallest increments are a1+ and a1- (S+0, S-0) and a2+ and a2- (T+0,
     T-0), so a budget below all of them lists nothing and slices nothing.
     Otherwise the tails each family keeps are sliced once per call; a child's
-    new first part is its increment plus the parts the letter consumed."""
+    new first part is its increment plus the parts the letter consumed.  A T
+    range is empty on its own when the budget is below that side's a2: the
+    floor division then gives at most -1."""
     a1p, a1m = plus[0], minus[0]
     if (budget < a1p and budget < a1m and (len(plus) < 2 or budget < plus[1])
             and (len(minus) < 2 or budget < minus[1])):
@@ -440,12 +442,12 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, in
         yield _S_MINUS(m), ((inc,) + plus, (inc + a1m,) + minus_rest), inc
     if len(plus) > 1:
         a2p, plus_rest = plus[1], plus[2:]
-        for m in range((budget - a2p) // (a1p + a2p) + 1 if budget >= a2p else 0):
+        for m in range((budget - a2p) // (a1p + a2p) + 1):
             inc = m * a1p + (m + 1) * a2p
             yield _T_PLUS(m), ((inc + a1p + a2p,) + plus_rest, (inc,) + minus), inc
     if len(minus) > 1:
         a2m, minus_rest = minus[1], minus[2:]
-        for m in range((budget - a2m) // (a1m + a2m) + 1 if budget >= a2m else 0):
+        for m in range((budget - a2m) // (a1m + a2m) + 1):
             inc = m * a1m + (m + 1) * a2m
             yield _T_MINUS(m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
 

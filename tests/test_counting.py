@@ -211,6 +211,16 @@ class TestBounds:
             CountTable("Seaweed", "brute", {(3, 3): 2}).bound_violations()
 
 
+@pytest.mark.parametrize("kind", counting.KINDS)
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_every_route_rejects_a_window_below_one(kind, n_max):
+    for count in (lambda: brute_table(kind, n_max), lambda: generated_table(kind, n_max),
+                  lambda: deficiency_table(kind, 2, n_max),
+                  lambda: counting.diagonal_counts(kind, 2, n_max)):
+        with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
+            count()
+
+
 class TestDeficiency:
     def test_consistency_with_full_table(self):
         full = generated_table("seaweed", 10)

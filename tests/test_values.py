@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from seaweeds import (
+    NULL,
     BiComposition,
     Composition,
     ParabolicLetter,
@@ -287,6 +288,14 @@ class TestRepr:
         assert repr(VerifyRow("x", False, (), (None,))) == (
             "VerifyRow(name='x', matched=False, details=(), fits=(None,))"
         )
+
+    def test_null_element_shows_its_name(self):
+        assert repr(NULL) == "NULL"
+
+
+def test_a_composition_has_the_length_and_iteration_of_its_parts():
+    assert len(Composition((2, 1, 2))) == 3
+    assert tuple(Composition((2, 1, 2))) == (2, 1, 2)
 
 
 def test_a_product_of_words_over_the_two_alphabets_raises():
