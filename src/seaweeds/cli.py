@@ -88,7 +88,10 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
         yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seaweeds-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seaweeds-")
+    except OSError as err:  # name the path given, not the temp file's random name
+        raise OSError(err.errno, err.strerror, out) from None
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle

@@ -41,12 +41,14 @@ class _Value:
     ``DeltaDecomposition``, ``ComponentCensus``, ``_Kind``, ``PolyFit``,
     ``VerifyRow``, ``VerifyReport``) take it as it is; ``MeanderGraph``
     checks its arcs first, and ``CountTable`` makes a fresh ``{}`` per
-    table first, then each calls it.  The rest write their own stores,
-    setting each slot once through ``object.__setattr__``:
-    ``Composition`` and ``BiComposition``, which check their arguments and
-    are built on every index query, where the generic binder about doubles
-    the time of a construction; the letters, which also store ``text``, a
-    slot outside ``_fields``; and ``_Word``, built on every factorization.
+    table first, then each calls it; the letters call it first, then check
+    the fields and store ``text``, a slot outside ``_fields``.  Only the
+    classes built on every query write their own stores, setting each slot
+    once through ``object.__setattr__``, since the generic binder about
+    doubles the time of a construction: ``Composition`` and
+    ``BiComposition``, which check their arguments and are built on every
+    index query, and ``_Word``, built on every factorization.  Letters are
+    interned, so their binder runs once per distinct letter.
     """
 
     __slots__ = ()

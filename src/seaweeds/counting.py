@@ -15,13 +15,9 @@ p parts (total parts, for pairs):
 * ``generated_table`` and ``deficiency_table`` tally the free-monoid
   generation, straight from the raw search nodes, in full or pruned to
   deficiency <= t (``table --method generated|deficiency``).  For pairs
-  the search walks the seed and the half below its S+ children, and
-  every other node counts twice: the minus letters are the plus letters
-  conjugated by the side swap, so the S- half is the mirror image of the
-  S+ half, with the same sums and part counts.  The seen-set holds the
-  walked nodes, each as one flat key, plus + minus, and each node is
-  checked with its swap's key, minus + plus, as well; a repeat in either
-  half still raises (``_search`` gives the argument).  Every search
+  the search walks the seed and one side-swap half of the tree, and
+  every other node counts twice; a repeat in either half still raises
+  (``_search``'s ``halve`` gives the argument for both).  Every search
   starts at the kind's seed and reads its sum off the seed's first side.
   The tallies read each node's sum and state only; a node also carries
   its depth and its last letter, from which ``generate`` rebuilds each
@@ -214,11 +210,11 @@ class _Kind(_Value):
     def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
         """Raw search nodes by (sum, parts); no objects are built.
 
-        For pairs the search halves by the side swap: it walks the seed and
-        the S+ half (see :func:`~seaweeds.seaweed_words._search`), and every
-        node but the seed is counted twice; its swap has the same sum and
-        parts, and the walk still raises on a repeat in the skipped half.
-        Compositions have no such half."""
+        For pairs the search walks the seed and one side-swap half, and
+        every node but the seed is counted twice; its ``halve`` (see
+        :func:`~seaweeds.seaweed_words._search`) says why that is exact and
+        still raises on a repeat in the skipped half.  Compositions have no
+        such half."""
         nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
         if self.epsilon is not None:
             return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
@@ -439,8 +435,9 @@ def generated_table(kind: str, n_max: int) -> CountTable:
     """Free-monoid generation, tallied by (sum, parts).
 
     The seaweed search walks one swap half and counts each node but the
-    seed twice (see :meth:`_Kind.tally`); a repeat in either half raises
-    :class:`~seaweeds.seaweed_words.CollisionError`."""
+    seed twice (:meth:`_Kind.tally`); a repeat in either half raises
+    :class:`~seaweeds.seaweed_words.CollisionError`, as the ``halve``
+    argument of :func:`~seaweeds.seaweed_words._search` shows."""
     return CountTable(kind, "generated", _kind(kind).tally(n_max, None))
 
 

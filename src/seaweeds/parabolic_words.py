@@ -60,10 +60,6 @@ class ParabolicLetter(_Letter):
     __slots__ = ("tilde",)
     _fields = ("family", "tilde", "m")
 
-    def __init__(self, family: str, tilde: bool, m: int):
-        object.__setattr__(self, "tilde", tilde)
-        self._set(family, m)
-
     def _mark(self) -> str:
         if not isinstance(self.tilde, bool):
             raise ValueError(f"letter tilde must be a bool, got {self.tilde!r}")
@@ -256,33 +252,36 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
     reproduce the same composition, which the free generation forbids.
     The smallest increments are 2 a1 (S0, S~0) and 2 a2 (T0, T~0), so a
     budget below both lists nothing and slices nothing.  Otherwise the
-    middle each family keeps, and its reversal for the tilde letters, are
-    sliced once per call; the new first part is the new last part plus the
-    parts the letter consumed.  The T ranges are empty on their own when
-    half the budget is below a2: the floor division then gives at most -1.
+    middle each family keeps, or its reversal for a tilde family, is sliced
+    once per call, into ``rest``, just before that family's loop, so a
+    listing suspended while the walk is below one of its children holds
+    one middle; the new first part is the new last part plus the parts the
+    letter consumed.  The T ranges are empty on their own when half the
+    budget is below a2: the floor division then gives at most -1.
     """
     a1 = a[0]
     half = budget // 2
     if half < a1 and (len(a) < 2 or half < a[1]):
         return
-    middle, reverse = a[1:], a[:0:-1]
     top = half // a1
+    rest = a[1:]
     for m in range(top):
         last = (m + 1) * a1
-        yield _S(m), ((last + a1,) + middle + (last,),), 2 * last
+        yield _S(m), ((last + a1,) + rest + (last,),), 2 * last
+    rest = a[:0:-1]
     for m in range(top):
         last = (m + 1) * a1
-        yield _S_TILDE(m), ((last,) + reverse + (last + a1,),), 2 * last
+        yield _S_TILDE(m), ((last,) + rest + (last + a1,),), 2 * last
     if len(a) > 1:
-        a2 = a[1]
-        middle, reverse = a[2:], a[:1:-1]
+        a2, rest = a[1], a[2:]
         top = (half - a2) // (a1 + a2) + 1
         for m in range(top):
             last = m * a1 + (m + 1) * a2
-            yield _T(m), ((last + a1 + a2,) + middle + (last,),), 2 * last
+            yield _T(m), ((last + a1 + a2,) + rest + (last,),), 2 * last
+        rest = a[:1:-1]
         for m in range(top):
             last = m * a1 + (m + 1) * a2
-            yield _T_TILDE(m), ((last,) + reverse + (last + a1 + a2,),), 2 * last
+            yield _T_TILDE(m), ((last,) + rest + (last + a1 + a2,),), 2 * last
 
 
 def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iterator[tuple]:

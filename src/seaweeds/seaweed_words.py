@@ -69,14 +69,19 @@ class CollisionError(RuntimeError):
 class _Letter(_Value):
     """A letter of one alphabet: family S or T, a mark, and an index m >= 0.
 
-    Subclasses add the slot of their mark, set it, and then call ``_set``;
-    their ``_fields`` are ``family``, the mark's field and ``m``, and
-    ``_mark`` turns the middle one into the token's mark, checking it.
+    Subclasses add the slot of their mark; their ``_fields`` are
+    ``family``, the mark's field and ``m``, and ``_mark`` turns the middle
+    one into the token's mark, checking it.  The constructor binds the
+    fields through :class:`_Value`'s, checks them, and stores the token in
+    ``text``.  Letters are interned (``letter``, ``letter_p`` and the move
+    listers' memos), so the binder runs once per distinct letter.
     """
 
     __slots__ = ("family", "m", "text")  # text: the token, not compared
 
-    def _set(self, family: str, m: int) -> None:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        family, m = self.family, self.m
         if family not in ("S", "T"):
             raise ValueError(f"letter family must be 'S' or 'T', got {family!r}")
         mark = self._mark()
@@ -84,8 +89,6 @@ class _Letter(_Value):
             raise ValueError(f"letter index m must be an int, got {m!r}")
         if m < 0:
             raise ValueError(f"letter index m must be >= 0, got {m}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "text", f"{family}{mark}{m}")
 
     def token(self) -> str:
@@ -131,11 +134,7 @@ class _Word(_Value):
 
 class SeaweedLetter(_Letter):
     __slots__ = ("sign",)
-    _fields = ("family", "sign", "m")
-
-    def __init__(self, family: str, sign: int, m: int):
-        object.__setattr__(self, "sign", sign)  # +1 or -1
-        self._set(family, m)
+    _fields = ("family", "sign", "m")  # sign: +1 or -1
 
     def _mark(self) -> str:
         sign = self.sign
@@ -425,31 +424,34 @@ def _child_moves(plus, minus, budget) -> Iterator[tuple[SeaweedLetter, tuple, in
 
     The smallest increments are a1+ and a1- (S+0, S-0) and a2+ and a2- (T+0,
     T-0), so a budget below all of them lists nothing and slices nothing.
-    Otherwise the tails each family keeps are sliced once per call; a child's
-    new first part is its increment plus the parts the letter consumed.  A T
-    range is empty on its own when the budget is below that side's a2: the
-    floor division then gives at most -1."""
+    Otherwise the tail each family keeps is sliced once per call, into
+    ``rest``, just before that family's loop, so a listing suspended while
+    the walk is below one of its children holds one tail, not four; a
+    child's new first part is its increment plus the parts the letter
+    consumed.  A T range is empty on its own when the budget is below that
+    side's a2: the floor division then gives at most -1."""
     a1p, a1m = plus[0], minus[0]
     if (budget < a1p and budget < a1m and (len(plus) < 2 or budget < plus[1])
             and (len(minus) < 2 or budget < minus[1])):
         return
-    plus_rest, minus_rest = plus[1:], minus[1:]
+    rest = plus[1:]
     for m in range(budget // a1p):
         inc = (m + 1) * a1p
-        yield _S_PLUS(m), ((inc + a1p,) + plus_rest, (inc,) + minus), inc
+        yield _S_PLUS(m), ((inc + a1p,) + rest, (inc,) + minus), inc
+    rest = minus[1:]
     for m in range(budget // a1m):
         inc = (m + 1) * a1m
-        yield _S_MINUS(m), ((inc,) + plus, (inc + a1m,) + minus_rest), inc
+        yield _S_MINUS(m), ((inc,) + plus, (inc + a1m,) + rest), inc
     if len(plus) > 1:
-        a2p, plus_rest = plus[1], plus[2:]
+        a2p, rest = plus[1], plus[2:]
         for m in range((budget - a2p) // (a1p + a2p) + 1):
             inc = m * a1p + (m + 1) * a2p
-            yield _T_PLUS(m), ((inc + a1p + a2p,) + plus_rest, (inc,) + minus), inc
+            yield _T_PLUS(m), ((inc + a1p + a2p,) + rest, (inc,) + minus), inc
     if len(minus) > 1:
-        a2m, minus_rest = minus[1], minus[2:]
+        a2m, rest = minus[1], minus[2:]
         for m in range((budget - a2m) // (a1m + a2m) + 1):
             inc = m * a1m + (m + 1) * a2m
-            yield _T_MINUS(m), ((inc,) + plus, (inc + a1m + a2m,) + minus_rest), inc
+            yield _T_MINUS(m), ((inc,) + plus, (inc + a1m + a2m,) + rest), inc
 
 
 def _check_bounds(n_max: int, t: Optional[int]) -> None:
@@ -511,23 +513,24 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     set grows unless the key was already in it.
 
     ``halve`` is for pairs from the seed, under the side swap: the minus
-    letters are the plus letters conjugated by it, so the moves of a
-    swapped pair are the swapped moves, at the same increments and
-    deficiency steps.  The children of ``start`` then come in swap pairs
-    whose subtrees are mirror images, with the same sums, part counts and
-    deficiencies, and only the half under the child of each pair that is
-    not below its swap is walked (the S+ half).  Every node but ``start``
+    letters are the plus letters conjugated by it, so the moves of a swapped
+    pair are the swapped moves, at the same increments and deficiency steps.
+    The children of ``start`` then come in swap pairs whose subtrees are
+    mirror images, with the same sums, part counts and deficiencies.  So the
+    start's listing, and no other, is wrapped in a filter that keeps the
+    child of each pair whose plus side is not below its minus side (the S+
+    half), and only their subtrees are walked.  Every node but ``start``
     then stands for two, so a tally counts it twice.  The seen-set holds
     exactly the walked nodes; each is also checked with its swap, keyed
-    minus + plus, though no swap enters the set.  That still finds a
-    repeat anywhere in the full walk, since every node the half walk skips
-    is the swap of a walked one: the S- children of ``start`` are the
-    swaps of its S+ children, listed after the whole S+ half, and their
-    subtrees mirror the S+ subtrees.  Two walked nodes that repeat meet at
-    the plain check.  A walked node equal to a skipped one is the swap of
-    a walked node (maybe itself), and the later of the two meets the other
-    at its swap check.  Two skipped nodes that repeat are the swaps of two
-    walked nodes that repeat.
+    minus + plus, though no swap enters the set.  That still finds a repeat
+    anywhere in the full walk, since every node the half walk skips is the
+    swap of a walked one: the S- children of ``start`` are the swaps of its
+    S+ children, listed after the whole S+ half, and their subtrees mirror
+    the S+ subtrees.  Two walked nodes that repeat meet at the plain check.
+    A walked node equal to a skipped one is the swap of a walked node (maybe
+    itself), and the later of the two meets the other at its swap check.
+    Two skipped nodes that repeat are the swaps of two walked nodes that
+    repeat.
     """
     _check_bounds(n_max, t)
     total = sum(start[0])
@@ -539,7 +542,10 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
     if room < unit:
         return
     seen = {sum(start, ())}
-    stack = [(moves(*start, room if t is None else min(room, unit * (t + 1))), total, 0)]
+    listing = moves(*start, room if t is None else min(room, unit * (t + 1)))
+    if halve:  # the half: the child of each swap pair that is not below its swap
+        listing = (move for move in listing if move[1][0] >= move[1][1])
+    stack = [(listing, total, 0)]
     child_deficit = None  # a walk without t never sets it
     while stack:
         listing, total, deficit = stack[-1]
@@ -549,10 +555,6 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                 child_deficit = deficit + inc // unit - 1 + (l.family == "T")
                 if child_deficit > t:
                     continue
-            if halve:
-                plus, minus = state
-                if depth == 1 and plus < minus:  # the half: one child of each swap pair
-                    continue
             size = len(seen)
             seen.add(sum(state, ()))
             if len(seen) == size:
@@ -560,9 +562,9 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                     f"{'|'.join(map(str, state))} reached twice; "
                     f"second route ends with letter {l}"
                 )
-            if halve and minus + plus in seen:  # each walked node stands for its swap
+            if halve and state[1] + state[0] in seen:  # each walked node stands for its swap
                 raise CollisionError(
-                    f"{minus}|{plus} reached twice; second route "
+                    f"{state[1]}|{state[0]} reached twice; second route "
                     f"is the mirror of one ending with letter {l}"
                 )
             n = total + inc

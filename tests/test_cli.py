@@ -1,4 +1,5 @@
 import collections
+import errno
 import hashlib
 import itertools
 import json
@@ -318,6 +319,17 @@ class TestStreamWindow:
                                   else cli.composition_nodes(eps, 10**12, 0))
         assert rendered - walked < 2**20, (rendered, walked)
 
+    @pytest.mark.parametrize("eps, bound", [(None, 11.2), (0, 3.6), (1, 3.6)])
+    def test_open_listings_hold_one_tail_each(self, eps, bound):
+        """A listing suspended on the path slices each family's tail just
+        before that family's loop, so it holds one tail, not all of them:
+        the peak here is about 10.2 MiB for pairs and 3.1 MiB for
+        compositions, against 12.1 and 4.1 MiB with every tail sliced up
+        front (Python 3.11)."""
+        peak = self.traced_peak(cli.pair_nodes(10**12, 0) if eps is None
+                                else cli.composition_nodes(eps, 10**12, 0))
+        assert peak < bound * 2**20, peak
+
     @pytest.mark.parametrize("eps", [None, 0, 1])
     def test_unpruned_stream_starts_at_once(self, eps):
         """The walk opens one listing per node on its path and yields each
@@ -390,6 +402,17 @@ class TestTable:
         )
         assert code == 0
         assert target.read_text().startswith("n,p,count\n")
+
+    @pytest.mark.parametrize("parent, code", [("missing", errno.ENOENT),
+                                              ("file", errno.ENOTDIR)], ids=["missing", "file"])
+    def test_out_in_no_directory_names_the_given_path(self, capsys, tmp_path, parent, code):
+        """The temp file cannot be made beside ``--out``: the error names the
+        path given, not the temp file's random name."""
+        (tmp_path / "file").touch()
+        target = str(tmp_path / parent / "t.csv")
+        assert run(capsys, "table", "--kind", "seaweed", "--n-max", "3", "--out", target) == (
+            2, "", f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
 
 
 class TestFit:

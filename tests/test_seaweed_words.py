@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,8 @@ from seaweeds import (
     word_stats,
     zeta,
 )
+from seaweeds import seaweed_words as sw
+from seaweeds.meander import index_of_parts
 from seaweeds.seaweed_words import _child_moves, _walk, letter, pair_nodes
 
 # totals of the exhaustive meander census, frozen from an independent
@@ -629,3 +632,54 @@ class TestCollisionMachinery:
         monkeypatch.setattr(sw, "_child_moves", bogus)
         with pytest.raises(sw.CollisionError):
             list(sw.generate_deficiency(2, 3))
+
+
+def terminal_pairs(n_max):
+    """Every pair of sum <= n_max whose first parts are equal: (s | s), and
+    (c, x | c, y) over the pairs (x | y) of sum s - c."""
+    for s in range(1, n_max + 1):
+        yield (s,), (s,)
+        for c in range(1, s):
+            for x, y in itertools.product(iter_compositions(s - c), repeat=2):
+                yield (c,) + x, (c,) + y
+
+
+class TestEveryPairFromTheTerminals:
+    """The pair oracle of freeness: a strip reduces any pair while its first
+    parts differ, so every pair is w(R) for exactly one word w and one
+    terminal pair R, whose first parts are equal.  The search from each
+    terminal pair must then reach every pair once over all the trees, and
+    letters keep the index, so each tree has its root's index."""
+
+    N_MAX = 9
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        """Each terminal pair with the states of its tree; a repeat inside
+        one tree raises CollisionError here."""
+        return [(root, [node[0] for node in sw._search(root, sw._child_moves, self.N_MAX)])
+                for root in terminal_pairs(self.N_MAX)]
+
+    def test_every_pair_comes_exactly_once(self, forest):
+        assert len(forest) == 29133
+        counts = Counter(state for _, states in forest for state in states)
+        pairs = {pair for n in range(1, self.N_MAX + 1)
+                 for pair in itertools.product(iter_compositions(n), repeat=2)}
+        assert len(pairs) == sum(4 ** (n - 1) for n in range(1, self.N_MAX + 1)) == 87381
+        assert set(counts) == pairs
+        assert [pair for pair, count in counts.items() if count > 1] == []
+
+    def test_every_tree_keeps_its_roots_index(self, forest):
+        for root, states in forest:
+            index = index_of_parts(*root, sum(root[0]))
+            assert [state for state in states
+                    if index_of_parts(*state, sum(state[0])) != index] == [], root
+
+    def test_root_rule(self):
+        """index(c | c) = c - 1, and the shared cut of (c, x | c, y) splits it
+        into (c | c) and (x | y), the one more component adding 1: index(c, x
+        | c, y) = (c - 1) + index(x | y) + 1."""
+        for plus, minus in terminal_pairs(self.N_MAX):
+            c, n = plus[0], sum(plus)
+            rule = c - 1 if c == n else c + index_of_parts(plus[1:], minus[1:], n - c)
+            assert index_of_parts(plus, minus, n) == rule, (plus, minus)

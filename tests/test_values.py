@@ -50,9 +50,12 @@ FIT = PolyFit(2, 1, (Fraction(20), Fraction(2)), 3, (1, 40))
 ROW = VerifyRow("F_2", True, ("seaweed t=2: fit 2T+20",), (FIT,))
 
 
-# the eight records that take _Value's constructor, each with the fields of
-# one instance in order
+# the eight records that take _Value's constructor, and the two letter
+# classes that call it before their checks, each with the fields of one
+# instance in order
 RECORDS = [
+    (SeaweedLetter, ("T", -1, 2)),
+    (ParabolicLetter, ("S", True, 1)),
     (WordStats, (3, 1, 1, 1, 0)),
     (WSequence, ((1, 3), 1)),
     (DeltaDecomposition, ((WORD,),)),
