@@ -60,7 +60,8 @@ a polynomial of degree floor(t/2).  The published closed forms are::
 differences: the vanishing of the order floor(t/2) + 1 differences on
 the window's end certifies the tail, the lower differences at the first
 of the last floor(t/2) + 1 values give the polynomial in Newton form
-(expanded to exact rational monomial coefficients), and the last nonzero
+(expanded in integers scaled by floor(t/2)!, then divided once per
+monomial coefficient into an exact ``Fraction``), and the last nonzero
 top-order difference marks from which n onward it matches.
 ``verify_published_polynomials`` runs all nine published cases end to end.
 """
@@ -634,19 +635,19 @@ class PolyFit(_Value):
 
 
 def poly_str(coefficients: Sequence[Fraction]) -> str:
-    """Human form, highest power first: (20, 2) -> ``2T+20``."""
+    """Human form, highest power first: (20, 2) -> ``2T+20``.  Each
+    coefficient is read as a ``Fraction`` (ints, floats and strings such
+    as ``"-3/4"`` too) and written from its numerator and denominator."""
     terms = []
     for power in range(len(coefficients) - 1, -1, -1):
         c = Fraction(coefficients[power])
-        if c == 0 and not (power == 0 and not terms):
+        num, den = c.numerator, c.denominator
+        if not num and (power or terms):
             continue
-        if power == 0:
-            mag = str(abs(c))
-        else:
-            var = "T" if power == 1 else f"T^{power}"
-            mag = var if abs(c) == 1 else f"{abs(c)}{var}"
-        sign = "-" if c < 0 else ("+" if terms else "")
-        terms.append(f"{sign}{mag}")
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if power:  # a coefficient of 1 is not written before T
+            mag = ("" if mag == "1" else mag) + ("T" if power == 1 else f"T^{power}")
+        terms.append(("-" if num < 0 else "+" if terms else "") + mag)
     return "".join(terms)
 
 
@@ -679,14 +680,23 @@ def fit_polynomial(
     raised.  The same d + 1 passes give the polynomial: with x0 the first
     of the last d + 1 indices and heads[k] the k-th difference at x0,
     P(x) = sum_k heads[k] * binomial(x - x0, k) (forward-difference Newton
-    form), expanded to exact monomial coefficients.  ``stable_from`` is
+    form).  The expansion stays in integers scaled by d!: with y = x - x0,
+    V_d = heads[d] and V_k = heads[k] * d!/k! + (y - k) * V_{k+1}, so
+    V_0 = d! * P has integer coefficients, and each monomial coefficient
+    is one ``Fraction(c, d!)``.  ``stable_from`` is
     one past the last nonzero order-(d + 1) difference, or ``n_start`` if
     none is nonzero: a zero difference at j, with the d + 1 values after
     j on P, puts the value at j on P, and a nonzero one puts it off P.
-    A negative t raises ValueError before any differencing.
+    A negative t, or a count that is not integral (``2.0``,
+    ``Fraction(4)`` and ``True`` are), raises ValueError before any
+    differencing.
     """
     d = t // 2
-    values = [int(v) for v in seq]
+    raw = list(seq)
+    values = [int(v) for v in raw]
+    if values != raw:
+        i = next(i for i, (v, w) in enumerate(zip(raw, values)) if v != w)
+        raise ValueError(f"counts must be integers, got {raw[i]!r} at index {i}")
     # checked before differencing, which would take order passes
     order, guard = _fit_orders(t, len(values))
     x0 = len(values) - order  # heads[k]: the k-th difference at x0
@@ -701,18 +711,19 @@ def fit_polynomial(
         )
     last_nonzero = next((j for j in range(len(diffs) - 1, -1, -1) if diffs[j]), -1)
     stable_from = n_start + last_nonzero + 1
-    # Newton form, expanded Horner-style: times (x - x0 - k) / (k + 1), plus heads[k]
-    coeffs = [Fraction(heads[d])]
+    # d! times the Newton form, expanded Horner-style: times (x - x0 - k), plus heads[k] * d!/k!
+    coeffs, scale = [heads[d]], 1
     for k in range(d - 1, -1, -1):
+        scale *= k + 1
         root = n_start + x0 + k
-        coeffs = [(hi - root * lo) / (k + 1) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-        coeffs[0] += heads[k]
+        coeffs = [hi - root * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += heads[k] * scale
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return PolyFit(
         t=t,
         degree=len(coeffs) - 1,
-        coefficients=tuple(coeffs),
+        coefficients=tuple(Fraction(c, scale) for c in coeffs),
         stable_from=stable_from,
         window=(n_start, n_start + len(values) - 1),
         epsilon=epsilon,
@@ -791,22 +802,19 @@ def verify_published_polynomials(
         fits: list[Optional[PolyFit]] = []
         matched = True
         for (kind, t), coefficients in cases:
-            eps = _kind(kind).epsilon
-            seq = sequences[kind, t]
-            expected = tuple(map(Fraction, coefficients))
             try:
-                fit = fit_polynomial(seq, t, n_start=1, epsilon=eps)
+                fit = fit_polynomial(sequences[kind, t], t, n_start=1, epsilon=_kind(kind).epsilon)
             except UnstableSequence as err:
                 fits.append(None)
                 matched = False
                 details.append(f"{kind} t={t}: no stable fit ({err})")
                 continue
             fits.append(fit)
-            ok = fit.coefficients == expected
+            ok = fit.coefficients == coefficients
             matched = matched and ok
             details.append(
                 f"{kind} t={t}: fit {poly_str(fit.coefficients)}"
-                f"{'' if ok else ' (expected ' + poly_str(expected) + ')'}"
+                f"{'' if ok else ' (expected ' + poly_str(coefficients) + ')'}"
                 f", stable from n={fit.stable_from}, window {fit.window[0]}..{fit.window[1]}"
             )
         rows.append(VerifyRow(name, matched, tuple(details), tuple(fits)))

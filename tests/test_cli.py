@@ -543,6 +543,13 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
      "daea269b7829d7640e1e0286a3306c7759c04359ebc04e04838487b2e5b4f40e", ""),
     ("generate --kind parabolic-even --n-max 20 --t 1", 0,
      "67698019ddff0ffc8cc7b4046e034a1c5a4f051bf7db017920474c2ea32b4fcd", ""),
+    # recorded before the fit's Newton form was expanded in integers: the
+    # report on its default windows, and a fit whose coefficients include
+    # "8137/6", "-3529/12" and "1/12"
+    ("verify", 0,
+     "4b53ace94605ac0a4fa9b8cf518439cf4fabf28ef921a2a1915df34cbfcb72e8", ""),
+    ("fit --kind seaweed --t 8 --n-max 78", 0,
+     "a1fea0aa00a7c71d66f2e0acb7edd557bfb72689c7f10bb7715a874004c81e94", ""),
     ("generate --kind seaweed --n-max 4 --epsilon 1", 2, EMPTY,
      "error: --epsilon does not apply to kind 'seaweed'\n"),
     ("generate --kind parabolic-odd --n-max 4 --epsilon 0", 2, EMPTY,

@@ -295,6 +295,16 @@ class TestDiagonalCounts:
         counting.diagonal_counts(kind, 10**6, n_max)
         assert budgets
 
+    @pytest.mark.parametrize("kind,name,expected", [
+        ("seaweed", "_child_moves", {0: {1: 1}}),
+        ("parabolic-odd", "_child_moves_p", {}),
+    ])
+    def test_levels_no_node_reaches_are_skipped(self, monkeypatch, kind, name, expected):
+        # with no moves the seed is the only node: every level after the
+        # first stays empty, and the odd seed's sum 1 is not counted
+        monkeypatch.setattr(sw if kind == "seaweed" else pw, name, lambda *args: iter(()))
+        assert counting.diagonal_counts(kind, 4, 10) == expected
+
     @pytest.mark.parametrize("kind,t,expansions", [
         pytest.param(kind, t, expansions, id=f"{kind}-{t}") for kind, t, expansions in (
             ("seaweed", 4, 64), ("seaweed", 6, 246), ("parabolic-even", 1, 8),
@@ -715,6 +725,21 @@ class TestVerifyReport:
                                   "differences still nonzero on the last 5 entries)")
         assert report.render().endswith("SOME CASES FAILED\n")
 
+    def test_a_wrong_published_form_is_a_mismatch_with_its_fit(self, monkeypatch):
+        rows = dict(counting._REPORT_ROWS)
+        rows["P_2"] = ((("seaweed", 2), (21, 2)),)
+        rows["P_{1,2}"] = ((("parabolic-odd", 2), (Fraction(25, 2), Fraction(3, 2))),)
+        monkeypatch.setattr(counting, "_REPORT_ROWS", tuple(rows.items()))
+        report = counting.verify_published_polynomials(26, 20)
+        assert [row.name for row in report.rows if not row.matched] == ["P_2", "P_{1,2}"]
+        assert report.rows[2].fits[0].coefficients == (20, 2)
+        text = report.render()
+        assert ("P_2: MISMATCH\n  seaweed t=2: fit 2T+20 (expected 2T+21), "
+                "stable from n=7, window 1..26\n") in text
+        assert ("P_{1,2}: MISMATCH\n  parabolic-odd t=2: fit 2T+12 (expected 3/2T+25/2), "
+                "stable from n=5, window 1..20\n") in text
+        assert text.endswith("SOME CASES FAILED\n")
+
 
 class TestFitPolynomial:
     def test_constant_tail(self):
@@ -767,6 +792,21 @@ class TestFitPolynomial:
             fit_polynomial(values, -1)
         assert type(err.value) is ValueError
 
+    @pytest.mark.parametrize("values,text", [
+        ([2.5] * 10, "2.5 at index 0"),
+        ([2] * 6 + [Fraction(5, 2)] + [2] * 3, r"Fraction\(5, 2\) at index 6"),
+        ([2] * 9 + ["2"], "'2' at index 9"),
+    ])
+    def test_non_integral_values_are_refused(self, values, text):
+        with pytest.raises(ValueError, match=rf"^counts must be integers, got {text}$"):
+            fit_polynomial(values, 0)
+
+    @pytest.mark.parametrize("value", [2, 2.0, Fraction(2), True])
+    def test_integral_values_of_any_type_are_read_as_ints(self, value):
+        fit = fit_polynomial([value] * 10, 0)
+        assert fit.coefficients == (Fraction(int(value)),)
+        assert all(type(c) is Fraction for c in fit.coefficients)
+
     def test_unstable_growth(self):
         with pytest.raises(UnstableSequence):
             fit_polynomial([2**n for n in range(12)], t=2)
@@ -781,21 +821,24 @@ class TestFitPolynomial:
         """Seeded random windows against ``helpers.reference_fit``: integer-valued
         polynomials of degree <= t//2 (collapsed degrees included), noisy heads,
         n_start != 1, and tails of degree t//2 + 1, with a late bump or too
-        short, which must raise."""
+        short, which must raise.  t runs to 12, where the integer Newton form
+        is scaled by 6! = 720, and n_start to +-10^6, where its Horner steps
+        multiply by roots of that size."""
         rng = make_rng()
-        seen = {"fit": 0, "raised": 0, "late_start": 0, "collapsed": 0}
-        for _ in range(600):
-            t = rng.randint(0, 9)
+        seen = {"fit": 0, "raised": 0, "late_start": 0, "collapsed": 0, "scale_720": 0,
+                "far_start": 0}
+        for _ in range(1000):
+            t = min(rng.randint(0, 14), 12)  # t = 12, where d! = 720, three times as often
             d = t // 2
             kind = rng.choice(("poly", "poly", "noisy", "too_steep", "late_bump"))
             degree = d + 1 if kind == "too_steep" else rng.randint(0, d)
             weights = [rng.randint(-30, 30) for _ in range(degree + 1)]
             if kind == "too_steep" and weights[-1] == 0:
                 weights[-1] = 1
-            n_start = rng.randint(-5, 5)
+            n_start = rng.choice((rng.randint(-5, 5), rng.randint(-10**6, 10**6)))
             span = d + 1 + max(5, t + 2)  # the values the certificate reads
             length = rng.randint(span - 2, 30)
-            seq = [sum(w * comb(n + 10, k) for k, w in enumerate(weights))
+            seq = [sum(w * comb(n - n_start + 10, k) for k, w in enumerate(weights))
                    for n in range(n_start, n_start + length)]
             if kind == "noisy":
                 for _ in range(rng.randint(1, 3)):
@@ -817,6 +860,8 @@ class TestFitPolynomial:
             seen["fit"] += 1
             seen["late_start"] += stable_from > n_start
             seen["collapsed"] += fit.degree < d
+            seen["scale_720"] += d == 6
+            seen["far_start"] += abs(n_start) > 1000
         assert min(seen.values()) >= 50, seen
 
     def test_json_dict(self):
@@ -850,6 +895,26 @@ class TestPolyStr:
     )
     def test_rendering(self, coeffs, text):
         assert poly_str(tuple(Fraction(c) for c in coeffs)) == text
+
+    @pytest.mark.parametrize(
+        "coeffs,text",
+        [
+            ((-138, 33, 1), "T^2+33T-138"),
+            ((0.5,), "1/2"),
+            ((0.5, -1.5), "-3/2T+1/2"),
+            (("-3/4",), "-3/4"),
+            (("1/3", 0, "-1"), "-T^2+1/3"),
+            ((0, 0, 0, 1), "T^3"),
+            ((0, 0, 0, -1), "-T^3"),
+            ((2, -1, 0, 1), "T^3-T+2"),
+            ((0, 2), "2T"),
+            ((0, 0, Fraction(-1, 12)), "-1/12T^2"),
+            ((0, 0), "0"),
+            ((), ""),
+        ],
+    )
+    def test_reads_ints_floats_and_strings(self, coeffs, text):
+        assert poly_str(coeffs) == text
 
 
 class TestCsv:
