@@ -29,6 +29,10 @@ from .counting import (
     deficiency_sequence,
     deficiency_table,
     fit_polynomial,
+    generate_deficiency,
+    generate_deficiency_p,
+    generate_frobenius,
+    generate_frobenius_p,
     generated_table,
     poly_str,
     verify_published_polynomials,
@@ -54,8 +58,6 @@ from .parabolic_words import (
     apply_letter_p,
     evaluate_p,
     factorize_p,
-    generate_deficiency_p,
-    generate_frobenius_p,
     reduce_once_p,
     w_sequence_p,
 )
@@ -74,8 +76,6 @@ from .seaweed_words import (
     delta_decompose,
     evaluate,
     factorize,
-    generate_deficiency,
-    generate_frobenius,
     reduce_once,
     w_sequence,
     word_stats,

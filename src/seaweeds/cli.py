@@ -26,7 +26,9 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, TextIO
 
 from .compositions import BiComposition, Composition, NULL
-from .counting import (
+# generate_frobenius(_p) are not called here; they stay bound because
+# perfbench/tracing.py wraps this module's bindings of them.
+from .counting import (  # noqa: F401
     KINDS,
     UnstableSequence,
     _Kind,
@@ -36,28 +38,24 @@ from .counting import (
     deficiency_sequence,
     deficiency_table,
     fit_polynomial,
+    generate_frobenius,
+    generate_frobenius_p,
     generated_table,
     verify_published_polynomials,
 )
 from .meander import build_meander, index_seaweed, render
-# generate_frobenius(_p) are not called here; they stay bound because
-# perfbench/tracing.py wraps this module's bindings of them.
-from .parabolic_words import (  # noqa: F401
+from .parabolic_words import (
     ParabolicWord,
-    composition_nodes,
     evaluate_p,
     factorize_p,
-    generate_frobenius_p,
     seed,
 )
-from .seaweed_words import (  # noqa: F401
+from .seaweed_words import (
     SEED,
     SeaweedWord,
     _Memo,
     evaluate,
     factorize,
-    generate_frobenius,
-    pair_nodes,
 )
 
 
@@ -153,8 +151,9 @@ def _cmd_meander(args) -> int:
     return 0
 
 
-def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterator[str]:
-    """The ``generate`` records as JSONL lines, straight from the search's raw nodes.
+def _generate_lines(kind: _Kind, n_max: int, t: Optional[int]) -> Iterator[str]:
+    """The ``generate`` records of ``kind`` as JSONL lines, straight from the
+    raw nodes of its walk (:meth:`~seaweeds.counting._Kind.nodes`).
 
     Each line is the text ``json.dumps`` gives for the record dict, with the
     same keys in the same order.  No value needs escaping: the values are
@@ -168,8 +167,8 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
     """
     part = _Memo(str).__getitem__  # the text of each int value
     words = [""]
-    nodes = pair_nodes(n_max, t) if eps is None else composition_nodes(eps, n_max, t)
-    for state, n, depth, letter in nodes:
+    eps = kind.epsilon
+    for state, n, depth, letter in kind.nodes(n_max, t):
         if t is None:
             if depth:
                 words[depth:] = (f"{letter.text} {words[depth - 1]}" if depth > 1
@@ -189,7 +188,7 @@ def _generate_lines(eps: Optional[int], n_max: int, t: Optional[int]) -> Iterato
 
 
 def _cmd_generate(args) -> int:
-    lines = _generate_lines(_checked_kind(args).epsilon, args.n_max, args.t)
+    lines = _generate_lines(_checked_kind(args), args.n_max, args.t)
     with _output(args.out) as handle:
         handle.writelines(lines)
     return 0

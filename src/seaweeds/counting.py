@@ -73,16 +73,14 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import parabolic_words, seaweed_words
-from .compositions import _Value
-# iter_compositions, component_counts, partner_array and the generate_* names
-# are not called here; they stay bound because perfbench/tracing.py wraps this
-# module's bindings of them.
+from .compositions import BiComposition, Composition, _Value
+# iter_compositions, component_counts and partner_array are not called here;
+# they stay bound because perfbench/tracing.py wraps this module's bindings
+# of them.
 from .compositions import iter_compositions  # noqa: F401
 from .meander import component_counts, orbit_size, partner_array  # noqa: F401
-from .parabolic_words import generate_deficiency_p, generate_frobenius_p, seed  # noqa: F401
-from .seaweed_words import (  # noqa: F401
-    _SEED_RAW, _check_bounds, _search, generate_deficiency, generate_frobenius,
-)
+from .parabolic_words import ParabolicWord, seed
+from .seaweed_words import _SEED_RAW, SeaweedWord, _check_bounds, _search
 
 SEAWEED_BRUTE_BUDGET = 18
 PARABOLIC_BRUTE_BUDGET = 24
@@ -103,6 +101,8 @@ class _Kind(_Value):
     A row holds what sets up the kind's search: ``unit``, the smallest sum
     increment of a letter (and the step between the sums counted), and
     ``seed``, the raw start state, whose sum is that of its first side.
+    Every walk of the package is :meth:`nodes`: the tallies, the
+    ``generate`` records and the four public generators below.
     By the start rule of :func:`~seaweeds.seaweed_words._search` a walk
     yields its seed unless the seed's sum is below ``unit``; only the odd
     seed (1) is, so a walk that yields anything yields ``first_sum`` first.
@@ -208,6 +208,13 @@ class _Kind(_Value):
             return (head[:1] + a[1:],)
         return (head + (r + 1,) + a[back:],)
 
+    def nodes(self, n_max: int, t: Optional[int] = None, halve: bool = False) -> Iterator[tuple]:
+        """The raw search nodes ``(state, n, depth, letter)`` of the kind's
+        walk from its seed, with sum <= n_max (and deficiency <= t when
+        given), in pre-order, as :func:`~seaweeds.seaweed_words._search`
+        yields them; ``halve`` walks one side-swap half of a pair walk."""
+        return _search(self.seed, self.moves, n_max, t, self.unit, halve)
+
     def tally(self, n_max: int, t: Optional[int]) -> dict[tuple[int, int], int]:
         """Raw search nodes by (sum, parts); no objects are built.
 
@@ -216,7 +223,7 @@ class _Kind(_Value):
         :func:`~seaweeds.seaweed_words._search`) says why that is exact and
         still raises on a repeat in the skipped half.  Compositions have no
         such half."""
-        nodes = _search(self.seed, self.moves, n_max, t, self.unit, halve=self.epsilon is None)
+        nodes = self.nodes(n_max, t, halve=self.epsilon is None)
         if self.epsilon is not None:
             return dict(Counter((n, len(a)) for (a,), n, _, _ in nodes))
         counts = Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes)
@@ -237,6 +244,77 @@ def _kind(name: str) -> _Kind:
         if kind.name == name:
             return kind
     raise ValueError(f"unknown kind {name!r}; expected one of {KINDS}")
+
+
+def _parity(epsilon: int) -> _Kind:
+    """The composition row of parity ``epsilon``; a bad parity raises
+    ValueError through :func:`~seaweeds.parabolic_words.seed`."""
+    seed(epsilon)
+    return next(kind for kind in _KIND_TABLE if kind.epsilon == epsilon)
+
+
+def _worded(nodes: Iterator[tuple]) -> Iterator[tuple[tuple, tuple]]:
+    """(word letters, state) of each node, the last-applied letter first.
+    The nodes come in pre-order, so a node's word is its letter followed by
+    the latest word one level up; ``words[d]`` holds the latest word of d
+    letters."""
+    words = [()]
+    for state, _, depth, l in nodes:
+        if depth:
+            words[depth:] = ((l,) + words[depth - 1],)
+        yield words[depth], state
+
+
+def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]]:
+    """Every Frobenius pair with sum <= n_max, each with its unique word.
+
+    Depth-first closure of the seed under all letters whose sum increment
+    fits the budget, in pre-order with children in
+    :func:`~seaweeds.seaweed_words._child_moves` order; reaching any pair
+    twice raises :class:`~seaweeds.seaweed_words.CollisionError`.
+    """
+    for word, (plus, minus) in _worded(_kind("seaweed").nodes(n_max)):
+        yield SeaweedWord(word), BiComposition(Composition(plus), Composition(minus))
+
+
+def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiComposition]]:
+    """Frobenius pairs with sum n <= n_max and at least n + 1 - t total parts.
+
+    Same closure as :func:`generate_frobenius`, but pruned on the running
+    deficiency tau(w) + sum(increment - 1), which equals n + 1 - p of the
+    current pair and never decreases.  Every visited pair is therefore
+    emitted, annotated as (n, p, pair), and the stream is exactly the
+    deficiency <= t slice of the full generator's output.
+    """
+    for (plus, minus), n, _, _ in _kind("seaweed").nodes(n_max, t):
+        yield n, len(plus) + len(minus), BiComposition(Composition(plus), Composition(minus))
+
+
+def generate_frobenius_p(epsilon: int, n_max: int) -> Iterator[tuple[ParabolicWord, Composition]]:
+    """Every Frobenius composition of parity ``epsilon`` with sum <= n_max.
+
+    Depth-first closure of the parity seed in pre-order, children in
+    :func:`~seaweeds.parabolic_words._child_moves_p` order; each
+    composition comes with its unique word.  The odd seed (1) itself is
+    not emitted -- the odd world starts at sum 3.  Reaching any
+    composition twice raises :class:`~seaweeds.seaweed_words.CollisionError`.
+    """
+    for word, (a,) in _worded(_parity(epsilon).nodes(n_max)):
+        yield ParabolicWord(word), Composition(a)
+
+
+def generate_deficiency_p(
+    epsilon: int, t: int, n_max: int
+) -> Iterator[tuple[int, int, Composition]]:
+    """Frobenius compositions of parity ``epsilon`` with high part counts.
+
+    Emits (n, p, composition) for every Frobenius composition of sum
+    n = 2k + epsilon <= n_max whose part count satisfies p >= k + 1 - t.
+    Pruned on the running deficiency tau(w) + sum(increment/2 - 1), which
+    equals k + 1 - p of the current composition and never decreases.
+    """
+    for (a,), n, _, _ in _parity(epsilon).nodes(n_max, t):
+        yield n, len(a), Composition(a)
 
 
 def _readable_depth(parts: tuple, r: int, depth: int) -> int:
@@ -688,14 +766,19 @@ def fit_polynomial(
     none is nonzero: a zero difference at j, with the d + 1 values after
     j on P, puts the value at j on P, and a nonzero one puts it off P.
     A negative t, or a count that is not integral (``2.0``,
-    ``Fraction(4)`` and ``True`` are), raises ValueError before any
-    differencing.
+    ``Fraction(4)`` and ``True`` are; ``2.5``, ``"3"``, None, NaN and
+    infinities are not), raises ValueError before any differencing, the
+    latter naming the first such count and its index.
     """
     d = t // 2
-    raw = list(seq)
-    values = [int(v) for v in raw]
+    raw, values = list(seq), []
+    try:  # values stops at the first count that int() refuses: inf, nan, None, "x"
+        for v in raw:
+            values.append(int(v))
+    except (TypeError, ValueError, OverflowError):
+        pass
     if values != raw:
-        i = next(i for i, (v, w) in enumerate(zip(raw, values)) if v != w)
+        i = next((i for i, (v, w) in enumerate(zip(raw, values)) if v != w), len(values))
         raise ValueError(f"counts must be integers, got {raw[i]!r} at index {i}")
     # checked before differencing, which would take order passes
     order, guard = _fit_orders(t, len(values))

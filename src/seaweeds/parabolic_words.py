@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 from .compositions import Composition
 # CollisionError is raised by the shared search; it stays importable from here.
 from .seaweed_words import (  # noqa: F401
-    CollisionError, WSequence, _ends, _Letter, _letter_index, _Memo, _search, _Word,
+    CollisionError, WSequence, _ends, _Letter, _letter_index, _Memo, _Word,
 )
 
 
@@ -282,49 +282,3 @@ def _child_moves_p(a: tuple, budget: int) -> Iterator[tuple[ParabolicLetter, tup
         for m in range(top):
             last = m * a1 + (m + 1) * a2
             yield _T_TILDE(m), ((last,) + rest + (last + a1 + a2,),), 2 * last
-
-
-def composition_nodes(epsilon: int, n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
-    """Raw search nodes of the Frobenius compositions of parity ``epsilon``
-    with sum <= n_max (and deficiency <= t when given).
-
-    Nodes come as ``_search`` yields them, ``((a,), n, depth, letter)`` in
-    pre-order; the seen-set keys a state ``(a,)`` by ``a`` itself.  Every
-    increment is even, so the search's unit is 2, and by its start rule a
-    seed is emitted unless its sum is below 2: the even seed (1,1) is
-    emitted at depth 0, the odd seed (1) is not, and its children come
-    first, at depth 1.
-    """
-    return _search((seed(epsilon).parts,), _child_moves_p, n_max, t, unit=2)
-
-
-def generate_frobenius_p(
-    epsilon: int, n_max: int
-) -> Iterator[tuple[ParabolicWord, Composition]]:
-    """Every Frobenius composition of parity ``epsilon`` with sum <= n_max.
-
-    Depth-first closure of the parity seed in pre-order, children in
-    :func:`_child_moves_p` order; each composition comes with its unique
-    word.  The odd seed (1) itself is not emitted -- the odd world starts
-    at sum 3.  Reaching any composition twice raises
-    :class:`CollisionError`.
-    """
-    words = [()]  # words[d]: the latest word of d letters, as in pre-order
-    for (a,), _, depth, l in composition_nodes(epsilon, n_max):
-        if depth:
-            words[depth:] = ((l,) + words[depth - 1],)
-        yield ParabolicWord(words[depth]), Composition(a)
-
-
-def generate_deficiency_p(
-    epsilon: int, t: int, n_max: int
-) -> Iterator[tuple[int, int, Composition]]:
-    """Frobenius compositions of parity ``epsilon`` with high part counts.
-
-    Emits (n, p, composition) for every Frobenius composition of sum
-    n = 2k + epsilon <= n_max whose part count satisfies p >= k + 1 - t.
-    Pruned on the running deficiency tau(w) + sum(increment/2 - 1), which
-    equals k + 1 - p of the current composition and never decreases.
-    """
-    for (a,), n, _, _ in composition_nodes(epsilon, n_max, t):
-        yield n, len(a), Composition(a)

@@ -41,7 +41,8 @@ The per-letter sum increments of a word, read left to right, form its
 increment sequence; ``beta`` counts increments above 1.  The running
 deficiency  tau(w) + sum_i (increment_i - 1)  equals  n + 1 - p  of the
 evaluated pair and never decreases as letters are added, which is what
-makes the pruned generator :func:`generate_deficiency` exact.
+makes the pruned walk of :func:`_search`, and so
+:func:`seaweeds.counting.generate_deficiency`, exact.
 """
 
 from __future__ import annotations
@@ -576,38 +577,3 @@ def _search(start, moves, n_max: int, t: Optional[int] = None, unit: int = 1,
                 break
         else:
             stack.pop()
-
-
-def pair_nodes(n_max: int, t: Optional[int] = None) -> Iterator[tuple]:
-    """Raw search nodes of the Frobenius pairs with sum <= n_max (and
-    deficiency <= t when given), as :func:`_search` yields them:
-    ``((plus, minus), n, depth, letter)``, in pre-order, with the seed
-    first at depth 0."""
-    return _search(_SEED_RAW, _child_moves, n_max, t)
-
-
-def generate_frobenius(n_max: int) -> Iterator[tuple[SeaweedWord, BiComposition]]:
-    """Every Frobenius pair with sum <= n_max, each with its unique word.
-
-    Depth-first closure of the seed under all letters whose sum increment
-    fits the budget, in pre-order with children in :func:`_child_moves`
-    order; reaching any pair twice raises :class:`CollisionError`.
-    """
-    words = [()]  # words[d]: the latest word of d letters, as in pre-order
-    for (plus, minus), _, depth, l in pair_nodes(n_max):
-        if depth:
-            words[depth:] = ((l,) + words[depth - 1],)
-        yield SeaweedWord(words[depth]), BiComposition(Composition(plus), Composition(minus))
-
-
-def generate_deficiency(t: int, n_max: int) -> Iterator[tuple[int, int, BiComposition]]:
-    """Frobenius pairs with sum n <= n_max and at least n + 1 - t total parts.
-
-    Same closure as :func:`generate_frobenius`, but pruned on the running
-    deficiency tau(w) + sum(increment - 1), which equals n + 1 - p of the
-    current pair and never decreases.  Every visited pair is therefore
-    emitted, annotated as (n, p, pair), and the stream is exactly the
-    deficiency <= t slice of the full generator's output.
-    """
-    for (plus, minus), n, _, _ in pair_nodes(n_max, t):
-        yield n, len(plus) + len(minus), BiComposition(Composition(plus), Composition(minus))

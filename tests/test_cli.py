@@ -14,9 +14,11 @@ import pytest
 
 from seaweeds import cli, counting
 from seaweeds.cli import main
-from seaweeds.counting import KINDS, CountTable, generated_table
-from seaweeds.parabolic_words import generate_deficiency_p, generate_frobenius_p
-from seaweeds.seaweed_words import CollisionError, generate_deficiency, generate_frobenius
+from seaweeds.counting import (
+    KINDS, CountTable, generate_deficiency, generate_deficiency_p, generate_frobenius,
+    generate_frobenius_p, generated_table,
+)
+from seaweeds.seaweed_words import CollisionError
 
 
 def run(capsys, *argv):
@@ -295,6 +297,11 @@ class TestGenerate:
         assert os.listdir(tmp_path) == []
 
 
+def row(eps):
+    """The kind row of parity ``eps``, None for pairs."""
+    return next(kind for kind in counting._KIND_TABLE if kind.epsilon == eps)
+
+
 class TestStreamWindow:
     """Rendering keeps nothing sized by the window: at --t 0 and a window of
     10**12 the first records come at once, and rendering them takes little
@@ -313,10 +320,9 @@ class TestStreamWindow:
     @pytest.mark.parametrize("eps", [None, 0, 1])
     def test_rendering_memory_does_not_depend_on_the_window(self, eps):
         start = time.perf_counter()
-        rendered = self.traced_peak(cli._generate_lines(eps, 10**12, 0))
+        rendered = self.traced_peak(cli._generate_lines(row(eps), 10**12, 0))
         assert time.perf_counter() - start < 10
-        walked = self.traced_peak(cli.pair_nodes(10**12, 0) if eps is None
-                                  else cli.composition_nodes(eps, 10**12, 0))
+        walked = self.traced_peak(row(eps).nodes(10**12, 0))
         assert rendered - walked < 2**20, (rendered, walked)
 
     @pytest.mark.parametrize("eps, bound", [(None, 11.2), (0, 3.6), (1, 3.6)])
@@ -326,8 +332,7 @@ class TestStreamWindow:
         the peak here is about 10.2 MiB for pairs and 3.1 MiB for
         compositions, against 12.1 and 4.1 MiB with every tail sliced up
         front (Python 3.11)."""
-        peak = self.traced_peak(cli.pair_nodes(10**12, 0) if eps is None
-                                else cli.composition_nodes(eps, 10**12, 0))
+        peak = self.traced_peak(row(eps).nodes(10**12, 0))
         assert peak < bound * 2**20, peak
 
     @pytest.mark.parametrize("eps", [None, 0, 1])
@@ -336,7 +341,7 @@ class TestStreamWindow:
         child as it is listed, so an unpruned window of 10**5 gives its
         first records without listing the seed's 2 * 10**5 children."""
         start = time.perf_counter()
-        peak = self.traced_peak(cli._generate_lines(eps, 10**5, None))
+        peak = self.traced_peak(cli._generate_lines(row(eps), 10**5, None))
         assert time.perf_counter() - start < 1
         assert peak < 2 * 2**20, peak
 

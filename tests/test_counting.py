@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -21,13 +22,17 @@ from seaweeds import (
     deficiency_sequence,
     deficiency_table,
     fit_polynomial,
+    generate_deficiency,
+    generate_deficiency_p,
+    generate_frobenius,
+    generate_frobenius_p,
     generated_table,
     poly_str,
 )
 from seaweeds.compositions import iter_compositions
 from seaweeds.meander import component_counts, partner_array
-from seaweeds.parabolic_words import _child_moves_p, composition_nodes
-from seaweeds.seaweed_words import CollisionError, _child_moves, letter, pair_nodes
+from seaweeds.parabolic_words import _child_moves_p
+from seaweeds.seaweed_words import CollisionError, _child_moves, letter
 
 # frozen from an independent endpoint-walk census (see tests/helpers.py)
 SEAWEED_TOTALS = {1: 1, 2: 2, 3: 6, 4: 14, 5: 34, 6: 68, 7: 150, 8: 296}
@@ -525,7 +530,7 @@ class TestSwapMerge:
 
 def _full_tally(n_max, t=None):
     """The seaweed tally of the full walk, both mirror halves, as ``generate`` walks it."""
-    nodes = pair_nodes(n_max, t)
+    nodes = counting._kind("seaweed").nodes(n_max, t)
     return dict(Counter((n, len(plus) + len(minus)) for (plus, minus), n, _, _ in nodes))
 
 
@@ -603,7 +608,7 @@ class TestHalfWalk:
         """Each error names the repeated pair, not the seen-set's flat key."""
         monkeypatch.setattr(sw, "_child_moves", lister)
         with pytest.raises(CollisionError) as raised:
-            list(pair_nodes(8))  # the full walk meets the repeat too
+            list(counting._kind("seaweed").nodes(8))  # the full walk meets the repeat too
         assert str(raised.value) == full
         with pytest.raises(CollisionError) as raised:
             generated_table("seaweed", 8)
@@ -669,10 +674,7 @@ class TestZeroRoom:
         monkeypatch.setattr(words, name, recorder)
         generated_table(kind, n_max)
         table_rooms = len(rooms)
-        if spec.epsilon is None:
-            list(pair_nodes(n_max))
-        else:
-            list(composition_nodes(spec.epsilon, n_max))
+        list(spec.nodes(n_max))
         assert min(rooms) >= spec.unit
         assert (table_rooms, len(rooms) - table_rooms) == (table_calls, walk_calls)
 
@@ -695,9 +697,7 @@ class TestKindRows:
         seed_sum = sum(spec.seed[0])
         for n_max in range(1, 9):
             nodes = list(sw._search(spec.seed, spec.moves, n_max, None, spec.unit))
-            public = (pair_nodes(n_max) if spec.epsilon is None
-                      else composition_nodes(spec.epsilon, n_max))
-            assert nodes == list(public), (kind, n_max)
+            assert nodes == list(spec.nodes(n_max)), (kind, n_max)
             tallied = generated_table(kind, n_max).entries
             assert (nodes == []) == (tallied == {}) == (n_max < spec.first_sum), (kind, n_max)
             if not nodes:
@@ -710,6 +710,45 @@ class TestKindRows:
                 assert nodes[0] == (spec.seed, seed_sum, 0, None), (kind, n_max)
             assert min(n for _, n, _, _ in nodes) == spec.first_sum, (kind, n_max)
             assert min(n for n, _ in tallied) == spec.first_sum, (kind, n_max)
+
+
+class TestGenerators:
+    """The four library generators walk the kind rows' searches and build
+    value objects from the raw nodes."""
+
+    def test_streams_pinned(self):
+        """sha256 of the ``repr`` of each stream, in this order, recorded
+        while the generators still lived in the word modules; it pins the
+        order, the words and the objects byte for byte."""
+        streams = [generate_frobenius(10)]
+        streams += [generate_frobenius_p(eps, 20 + eps) for eps in (0, 1)]
+        for t in range(4):
+            streams += [generate_deficiency(t, 14), generate_deficiency_p(0, t, 30),
+                        generate_deficiency_p(1, t, 31)]
+        digest = hashlib.sha256()
+        for stream in streams:
+            digest.update(repr(list(stream)).encode())
+        assert digest.hexdigest() == (
+            "be052ba8b841c07383c55f74e2e58aed82f65d9765e4c332b0d98354735dddee")
+
+    def test_module_paths(self):
+        """Defined in ``counting``; the package and ``cli`` bind the same objects."""
+        import seaweeds
+        from seaweeds import cli
+
+        for name in ("generate_frobenius", "generate_frobenius_p", "generate_deficiency",
+                     "generate_deficiency_p"):
+            function = getattr(counting, name)
+            assert function.__module__ == "seaweeds.counting"
+            assert getattr(seaweeds, name) is function
+            assert not hasattr(sw, name) and not hasattr(pw, name)
+        assert cli.generate_frobenius is counting.generate_frobenius
+        assert cli.generate_frobenius_p is counting.generate_frobenius_p
+
+    def test_a_bad_parity_raises_on_the_first_next(self):
+        for generator in (generate_frobenius_p(2, 4), generate_deficiency_p(2, 0, 4)):
+            with pytest.raises(ValueError, match=r"^epsilon must be 0 or 1, got 2$"):
+                next(generator)
 
 
 class TestVerifyReport:
@@ -796,6 +835,13 @@ class TestFitPolynomial:
         ([2.5] * 10, "2.5 at index 0"),
         ([2] * 6 + [Fraction(5, 2)] + [2] * 3, r"Fraction\(5, 2\) at index 6"),
         ([2] * 9 + ["2"], "'2' at index 9"),
+        ([float("inf")] * 10, "inf at index 0"),
+        ([2] * 4 + [float("-inf")] + [2] * 5, "-inf at index 4"),
+        ([2] * 8 + [float("nan"), 2], "nan at index 8"),
+        ([2, None] + [2] * 8, "None at index 1"),
+        ([2] * 3 + ["3"] + [2] * 6, "'3' at index 3"),
+        ([2] * 2 + [2.5, float("inf")] + [2] * 6, "2.5 at index 2"),
+        ([2] * 2 + [float("inf"), 2.5] + [2] * 6, "inf at index 2"),
     ])
     def test_non_integral_values_are_refused(self, values, text):
         with pytest.raises(ValueError, match=rf"^counts must be integers, got {text}$"):

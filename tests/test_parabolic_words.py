@@ -26,6 +26,7 @@ from seaweeds import (
     theta,
     w_sequence_p,
 )
+from seaweeds import counting
 from seaweeds.parabolic_words import _child_moves_p, _walk_p, letter_p, seed
 from seaweeds.seaweed_words import IOTA, SeaweedWord
 
@@ -477,7 +478,7 @@ class TestFreenessMachinery:
         monkeypatch.setattr(pw, "_child_moves_p", bogus)
         # the error names the composition, which is also its seen-set key
         with pytest.raises(pw.CollisionError) as raised:
-            list(pw.generate_frobenius_p(1, 5))
+            list(counting.generate_frobenius_p(1, 5))
         assert str(raised.value) == "(2, 1) reached twice; second route ends with letter S0"
 
     def test_failed_inverse_raises(self, monkeypatch):

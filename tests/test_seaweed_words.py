@@ -33,9 +33,10 @@ from seaweeds import (
     word_stats,
     zeta,
 )
+from seaweeds import counting
 from seaweeds import seaweed_words as sw
 from seaweeds.meander import index_of_parts
-from seaweeds.seaweed_words import _child_moves, _walk, letter, pair_nodes
+from seaweeds.seaweed_words import _child_moves, _walk, letter
 
 # totals of the exhaustive meander census, frozen from an independent
 # endpoint-walk enumeration over all pairs of compositions
@@ -429,7 +430,7 @@ class TestGenerateDeficiency:
             assert p >= n + 1 - 2
 
     def test_chain_deeper_than_the_recursion_limit(self):
-        depths = [depth for _, _, depth, _ in pair_nodes(3000, 0)]
+        depths = [depth for _, _, depth, _ in counting._kind("seaweed").nodes(3000, 0)]
         assert len(depths) == 2 * 3000 - 1
         assert max(depths) == 2999
 
@@ -620,7 +621,7 @@ class TestCollisionMachinery:
 
         monkeypatch.setattr(sw, "_child_moves", bogus)
         with pytest.raises(sw.CollisionError):
-            list(sw.generate_frobenius(3))
+            list(counting.generate_frobenius(3))
 
     def test_duplicate_child_raises_in_deficiency_run(self, monkeypatch):
         import seaweeds.seaweed_words as sw
@@ -631,7 +632,7 @@ class TestCollisionMachinery:
 
         monkeypatch.setattr(sw, "_child_moves", bogus)
         with pytest.raises(sw.CollisionError):
-            list(sw.generate_deficiency(2, 3))
+            list(counting.generate_deficiency(2, 3))
 
 
 def terminal_pairs(n_max):
