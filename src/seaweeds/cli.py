@@ -93,7 +93,10 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
-        os.replace(tmp, out)
+        try:
+            os.replace(tmp, out)
+        except OSError as err:  # say, out is a directory
+            raise OSError(err.errno, err.strerror, out) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -614,17 +614,39 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
       the pruned search;
     * the count below, level by sum: the levels are one list indexed by
       (n - seed sum) / unit, each a dict {node: multiplicity} made on its
-      first push, popped in increasing order; each node adds its
-      multiplicity to its diagonal at n and pushes it to each child whose
-      step still fits the window.
+      first push, popped in increasing order up to the window's last;
+      each node adds its multiplicity to its diagonal at n and pushes it
+      to each of its children.
 
     The deficiency never decreases, so every node of deficiency d <= t is
     visited under the bound t, and one count yields every diagonal up to
     t.  A node is listed on its first visit, when the room left is the
-    largest it will get, with the budget min(room, unit*(t - d + 1)); at
-    every later sum the list is reused without the children whose step
-    runs past the window, which are exactly the moves the smaller room
-    drops.
+    largest it will get, with the budget min(room, unit*(t - d + 1)); that
+    room is the count's one window rule.  At every later sum the whole
+    list is pushed again: a child whose step runs past the window, a move
+    the smaller room would drop, lands in a level past the window, which
+    is never read.  A node first met at level i is listed with room
+    size - 1 - i units, size being the window's levels, and a budget of at
+    most t + 1 units, so such a child lands at most min(t + 1, size - 1)
+    levels past the window, and the list is padded by min(t + 1, size).
+
+    Certificate (argued here, checked by ``tests/test_certificate.py``):
+    list every node of the graph under the bound d with the room
+    unit*(d + 1), which no budget exceeds.  For seaweed d <= 10 and
+    parabolic d <= 8 that graph is acyclic but for d + 1 self-loops, one
+    per deficiency 0..d, each one edge of step 1.  An object of
+    deficiency d is then a walk from the seed to a node of deficiency d:
+    a loop-free path P, of step sum w(P) through c(P) loop nodes, with any
+    number of turns around each of those loops.  So the diagonal's
+    generating function, in x per unit step, is N(x)/(1 - x)^C, with
+    N(x) the sum over P of x^w(P) (1 - x)^(C - c(P)), C the most loop
+    nodes on one path and deg N <= W + C, W the largest w(P).  Its
+    coefficients are one polynomial of degree C - 1 from W + 1 steps past
+    the seed on: at every index k >= k_seed + W + 1, with k_seed = 1, 1
+    and 0, the seed's index, for seaweed, parabolic-even and
+    parabolic-odd.  C came out as floor(d/2) + 1, the fits' degree plus
+    one, so the C counts from k_seed + W + 1 on prove a fit; seaweed d = 4
+    is certain from k = 17 and needs a window to 19.
 
     The count reads the deficiency only: it equals n + 1 - p for pairs
     and k + 1 - p for compositions of sum 2k + eps.
@@ -634,17 +656,16 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
     graph = _Automaton(spec, t)
     unit, first, nodes, children = spec.unit, spec.first_sum, graph.nodes, graph.children
     total = sum(spec.seed[0])
-    levels: list[Optional[dict[int, int]]] = [None] * ((n_max - total) // unit + 1)
-    if levels:
-        levels[0] = {0: 1}
-    last = len(levels) - 1
+    size = (n_max - total) // unit + 1  # the window's levels
+    # a push lands at most min(t + 1, size - 1) levels past the window
+    levels: list[Optional[dict[int, int]]] = [{0: 1}] + [None] * (size - 1 + min(t + 1, size))
     counts: dict[int, dict[int, int]] = {}
-    for i, level in enumerate(levels):
+    for i in range(size):
+        level = levels[i]
         if level is None:
             continue
         levels[i] = None  # a popped level is never pushed to again
         n = total + unit * i
-        left = last - i  # the room, in units
         for node, mult in level.items():
             if n >= first:
                 deficit = nodes[node][1]
@@ -656,12 +677,11 @@ def diagonal_counts(kind: str, t: int, n_max: int) -> dict[int, dict[int, int]]:
             if kids is None:
                 kids = graph.listing(node, n_max - n)
             for step, kid in kids:
-                if step <= left:
-                    target = levels[i + step]
-                    if target is None:
-                        levels[i + step] = {kid: mult}
-                    else:
-                        target[kid] = target.get(kid, 0) + mult
+                target = levels[i + step]
+                if target is None:
+                    levels[i + step] = {kid: mult}
+                else:
+                    target[kid] = target.get(kid, 0) + mult
     return counts
 
 

@@ -16,7 +16,7 @@ from functools import cache
 from math import gcd
 
 from seaweeds import BiComposition, Composition, iter_compositions
-from seaweeds.counting import _kind
+from seaweeds.counting import _Automaton, _kind
 from seaweeds.meander import component_counts, partner_array
 from seaweeds.parabolic_words import ParabolicWord, _walk_p, letter_p
 from seaweeds.seaweed_words import SeaweedWord, _walk, letter
@@ -255,6 +255,18 @@ def diagonal(table, t: int, k_max: int) -> list[int]:
     at k = 1..k_max."""
     spec = _kind(table.kind)
     return [table.count(spec.unit * k + spec.offset, k + 1 - t) for k in range(1, k_max + 1)]
+
+
+def full_budget_graph(spec, t: int) -> _Automaton:
+    """The window-free truncated-state graph of the kind row ``spec`` under
+    the bound t: every node, the ones that listing appends included, listed
+    in id order with the room unit*(t + 1), which no node's budget exceeds."""
+    graph = _Automaton(spec, t)
+    node = 0
+    while node < len(graph.nodes):  # listing a node may append new ones
+        graph.listing(node, spec.unit * (t + 1))
+        node += 1
+    return graph
 
 
 def lagrange_coefficients(xs, ys) -> list[Fraction]:

@@ -419,6 +419,19 @@ class TestTable:
             2, "", f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
 
+    def test_out_naming_a_directory_names_the_given_path(self, capsys, tmp_path):
+        """The temp file cannot be renamed onto a directory given as ``--out``:
+        the error names that directory, the temp file is removed, and the
+        directory is left as it was."""
+        target = tmp_path / "dir"
+        target.mkdir()
+        (target / "kept").write_text("x")
+        assert run(capsys, "table", "--kind", "seaweed", "--n-max", "3", "--out", str(target)) == (
+            2, "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "dir", "dir/kept"]
+        assert (target / "kept").read_text() == "x"
+
 
 class TestFit:
     def test_seaweed_constant(self, capsys):

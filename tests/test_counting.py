@@ -11,7 +11,7 @@ import seaweeds.counting as counting
 import seaweeds.parabolic_words as pw
 import seaweeds.seaweed_words as sw
 from helpers import (
-    make_rng, odd_compositions, pair_sweep, random_composition, reference_fit,
+    full_budget_graph, make_rng, odd_compositions, pair_sweep, random_composition, reference_fit,
     slicing_readable_side, slicing_truncated_composition,
 )
 from seaweeds import (
@@ -327,12 +327,10 @@ class TestDiagonalCounts:
         # at each sum is what the room-capped listing must give
         spec = counting._kind(kind)
         for t in range(7):
-            graph = counting._Automaton(spec, t)
-            node = 0
-            while node < len(graph.nodes):
-                for step, kid in graph.listing(node, spec.unit * (t + 1)):
+            graph = full_budget_graph(spec, t)
+            for node, kids in enumerate(graph.children):
+                for step, kid in kids:
                     assert 1 <= step <= t - graph.nodes[node][1] + 1, (kind, t, node)
-                node += 1
             if kind == "seaweed" and t in (4, 6):
                 assert len(graph.nodes) == {4: 64, 6: 246}[t]
             for n_max in range(1, 41):
@@ -353,6 +351,20 @@ class TestDiagonalCounts:
             tracemalloc.stop()
         assert sum(map(len, counts.values())) > 5000, kind
         assert peak - kept < 2**20, (kept, peak)
+
+    @pytest.mark.parametrize("kind", counting.KINDS)
+    def test_padding_is_bounded_by_the_window(self, kind):
+        # a bound far past the window pads the levels by the window's 12
+        # levels or fewer, not by t + 1: padding by t + 1 is a list of 10^7
+        expected = counting.diagonal_counts(kind, 12, 12)
+        tracemalloc.start()
+        try:
+            counts = counting.diagonal_counts(kind, 10**7, 12)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak - kept < 8 * 2**20, (kept, peak)
 
     def test_readable_side_walk_equals_the_slicing_form(self):
         sides = [side for n in range(1, 11) for side in iter_compositions(n)]

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_rng
+from helpers import full_budget_graph, make_rng
 from seaweeds.counting import EXPECTED_COEFFS, _Automaton, _kind, diagonal_counts
 from seaweeds.meander import index_of_parts
 
@@ -52,11 +52,7 @@ DRAWS = 10
 def subtree_counts(spec, t: int, n: int) -> tuple[_Automaton, list[list[int]]]:
     """The window-free graph of ``spec`` under the bound t, and ``C[id][r]``
     for r up to the units between the seed's sum and n."""
-    graph = _Automaton(spec, t)
-    node = 0
-    while node < len(graph.nodes):  # listing a node may append new ones
-        graph.listing(node, spec.unit * (t + 1))
-        node += 1
+    graph = full_budget_graph(spec, t)
     levels = (n - sum(spec.seed[0])) // spec.unit
     deficits = [deficit for _, deficit in graph.nodes]
     counts = [[0] * (levels + 1) for _ in graph.nodes]
